@@ -263,9 +263,16 @@ class SFS:
             max(1, slice_left), self._on_slice_expiry, worker, task
         )
         if self.config.io_aware:
-            worker.poll_handle = self.sim.schedule(
-                self.config.poll_interval, self._on_worker_poll, worker, task
-            )
+            poll = self.config.poll_interval
+            if self.machine.can_block(task):
+                worker.poll_handle = self.sim.schedule(
+                    poll, self._on_worker_poll, worker, task
+                )
+            else:
+                # 4.3 for a function with no I/O left: every poll would
+                # read READY/RUNNING and rearm, so none runs; the ticker
+                # marks where each would have, to be charged on release
+                worker.poll_ticker = self.sim.ticker(now + poll, poll)
 
     # ==================================================================
     # FILTER-mode lifecycle (Fig 4, steps 4.1-4.3)
@@ -289,6 +296,7 @@ class SFS:
                     self._m_filter_finish.inc()
             if self._metrics_on:
                 self._m_boost_us.inc(self.sim.now - worker.assigned_at)
+            self._charge_elided_polls(worker)
             worker.clear()
             self._drain()
 
@@ -312,9 +320,23 @@ class SFS:
                                displaced=task.tid, reason="slice")
         self._sched_op()
         self._by_tid.pop(task.tid, None)
+        self._charge_elided_polls(worker)
         worker.clear()
         self.machine.set_policy(task, SchedPolicy.CFS)
         self._drain()
+
+    def _charge_elided_polls(self, worker: SFSWorker) -> None:
+        """Charge the 4.3 polls a released worker's ticker stood in for:
+        one per tick ``assigned_at + k*poll_interval`` the rearming poll
+        would have reached before this release (the ticker orders ties
+        with the releasing event exactly)."""
+        ticker = worker.poll_ticker
+        if ticker is None:
+            return
+        poll = self.config.poll_interval
+        start = worker.assigned_at + poll
+        self.overhead.record_polls(start, poll, (ticker.due - start) // poll,
+                                   self.config.poll_cost)
 
     def _on_worker_poll(self, worker: SFSWorker, task: Task) -> None:
         """4.3: periodic kernel-status poll of the FILTER function."""

@@ -2,8 +2,9 @@
 
 One worker per CPU core (goroutines in the paper's Go implementation).
 A worker is either idle or shepherding exactly one FILTER-mode function:
-it owns that function's slice timer and status-poll timer and releases
-them when the function finishes, blocks, or is demoted.
+it owns that function's slice timer and status-poll timer (or, for a
+function that cannot block, the ticker standing in for the polls) and
+releases them when the function finishes, blocks, or is demoted.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.global_queue import QueueEntry
-from repro.sim.engine import EventHandle
+from repro.sim.engine import EventHandle, Ticker
 
 
 class SFSWorker:
@@ -22,6 +23,7 @@ class SFSWorker:
         "entry",
         "slice_handle",
         "poll_handle",
+        "poll_ticker",
         "cpu_at_assign",
         "slice_at_assign",
         "assigned_at",
@@ -32,6 +34,7 @@ class SFSWorker:
         self.entry: Optional[QueueEntry] = None
         self.slice_handle: Optional[EventHandle] = None
         self.poll_handle: Optional[EventHandle] = None
+        self.poll_ticker: Optional[Ticker] = None
         self.cpu_at_assign: int = 0
         self.slice_at_assign: int = 0
         self.assigned_at: int = 0
@@ -48,4 +51,7 @@ class SFSWorker:
         if self.poll_handle is not None:
             self.poll_handle.cancel()
             self.poll_handle = None
+        if self.poll_ticker is not None:
+            self.poll_ticker.cancel()
+            self.poll_ticker = None
         self.entry = None

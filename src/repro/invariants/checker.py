@@ -311,6 +311,10 @@ class InvariantChecker(NullChecker):
         # lazily-cancelled heap entries are stale by design; a pool
         # member is sound iff its *current* target has a live entry
         heap_entries = {(t.tid, target) for target, _seq, t in machine._heap}
+        rr = sum(1 for t in machine._pool.values() if t.policy.name == "RR")
+        if rr != machine._pool_rr:
+            self._fail("runqueue-soundness",
+                       f"pool RR count {machine._pool_rr}, actual {rr}")
         for tid, task in machine._pool.items():
             if task.state.value != "running":
                 self._fail("runqueue-soundness",

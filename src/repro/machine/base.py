@@ -22,7 +22,7 @@ from typing import Callable, List, Optional
 from repro.sched.cfs import CfsParams
 from repro.sched.rt import DEFAULT_RR_QUANTUM
 from repro.sim.engine import Simulator
-from repro.sim.task import SchedPolicy, Task, TaskState
+from repro.sim.task import BurstKind, SchedPolicy, Task, TaskState
 from repro.trace import events as tev
 
 FinishCallback = Callable[[Task], None]
@@ -126,6 +126,15 @@ class MachineBase:
     def poll_state(self, task: Task) -> TaskState:
         """Read the kernel-visible process state (``/proc`` poll)."""
         return task.state
+
+    def can_block(self, task: Task) -> bool:
+        """Simulator ground truth: does an I/O burst remain ahead of
+        ``task``?  Callers may use it only to skip an event whose
+        outcome is known in advance (a status poll of a task that can
+        never sleep), never as a scheduling-policy input."""
+        bursts = task.bursts
+        return any(bursts[i].kind is BurstKind.IO
+                   for i in range(task.burst_index, len(bursts)))
 
     def on_finish(self, callback: FinishCallback) -> None:
         """Register a process-exit observer (``waitpid`` semantics)."""

@@ -54,6 +54,7 @@ class FluidMachine(MachineBase):
         self._speed = self.params.speed
         # --- CFS/RR fluid pool ---
         self._pool: dict[int, Task] = {}           # tid -> task
+        self._pool_rr: int = 0                      # SCHED_RR pool members
         self._heap: list[tuple[float, int, Task]] = []  # (target credit, seq, task)
         self._seq = itertools.count()
         self._credit: float = 0.0                   # global service credit
@@ -227,15 +228,10 @@ class FluidMachine(MachineBase):
         contention = n / free
         if contention <= 1.0:
             return 0.0  # a core each: no involuntary switching
-        quantum = (
-            self.params.rr_quantum
-            if self.rr_as_sharing and any(t.policy is SchedPolicy.RR for t in self._pool.values())
-            else None
-        )
-        if quantum is None:
-            cfs = self.params.cfs
-            quantum = max(cfs.sched_latency / contention, cfs.min_granularity)
-        return 1.0 / quantum
+        if self._pool_rr:  # RR members share with the RR quantum as slice
+            return 1.0 / self.params.rr_quantum
+        cfs = self.params.cfs
+        return 1.0 / max(cfs.sched_latency / contention, cfs.min_granularity)
 
     def _advance(self) -> None:
         now = self.sim.now
@@ -275,6 +271,8 @@ class FluidMachine(MachineBase):
         task.wait_time += self.sim.now - getattr(task, "_ready_since", self.sim.now)
         task.state = TaskState.RUNNING
         self._pool[task.tid] = task
+        if task.policy is SchedPolicy.RR:
+            self._pool_rr += 1
         if self._trace_on:
             self._trace.emit(self.sim.now, tev.TASK_RUN, task.tid)
         if self._metrics_on:
@@ -290,6 +288,8 @@ class FluidMachine(MachineBase):
         self._advance()
         assert task.tid in self._pool
         del self._pool[task.tid]
+        if task.policy is SchedPolicy.RR:
+            self._pool_rr -= 1
         if self._trace_on:
             reason = tev.DESCHED_BURST_END if completing else tev.DESCHED_RECLASS
             self._trace.emit(self.sim.now, tev.TASK_DESCHEDULE, task.tid,
@@ -342,6 +342,8 @@ class FluidMachine(MachineBase):
             if task.tid not in self._pool or task._pool_target != _target:  # type: ignore[attr-defined]
                 continue  # stale entry
             del self._pool[task.tid]
+            if task.policy is SchedPolicy.RR:
+                self._pool_rr -= 1
             finished.append(task)
         tr = self._trace
         tr_on = self._trace_on

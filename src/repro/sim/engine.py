@@ -7,12 +7,21 @@ timestamps, which makes every run fully deterministic.
 
 Cancellation is *lazy*: :meth:`EventHandle.cancel` marks the handle and
 the main loop discards dead entries when they surface, which keeps both
-``schedule`` and ``cancel`` O(log n) / O(1).
+``schedule`` and ``cancel`` O(log n) / O(1).  A live-work counter kept
+by ``schedule``/``cancel``/``step`` makes :attr:`Simulator.pending_work`
+O(1) as well.
+
+A :class:`Ticker` stands in for a self-rearming periodic callback whose
+every firing is known in advance to do nothing: it lives outside the
+event heap, runs no callback, and is advanced lazily as real events
+pass it — but each tick keeps the exact place in the event order that
+the rearming callback would have had.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from typing import Any, Callable, Optional
 
@@ -37,20 +46,30 @@ class EventHandle:
     alive forever.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "daemon")
+    __slots__ = ("time", "seq", "callback", "args", "cancelled", "daemon",
+                 "_sim")
 
     def __init__(self, time: int, seq: int, callback: Callable[..., Any],
-                 args: tuple, daemon: bool = False):
+                 args: tuple, daemon: bool = False,
+                 sim: Optional["Simulator"] = None):
         self.time = time
         self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
         self.daemon = daemon
+        #: the simulator whose live-work count this event holds a unit
+        #: of (None for daemons, and once cancelled or consumed)
+        self._sim = sim
 
     def cancel(self) -> None:
-        """Prevent the callback from firing.  Safe to call repeatedly."""
+        """Prevent the callback from firing.  Safe to call repeatedly,
+        and after the event has run."""
         self.cancelled = True
+        sim = self._sim
+        if sim is not None:
+            sim._live_work -= 1
+            self._sim = None
         # Drop references eagerly: a long-lived heap entry must not pin
         # tasks/closures for the rest of the run.
         self.callback = _noop
@@ -68,6 +87,32 @@ class EventHandle:
 
 def _noop(*_args: Any) -> None:
     return None
+
+
+class Ticker:
+    """A periodic no-op clock, ticking at ``first + k*period``.
+
+    It replaces a callback that would rearm itself every ``period``
+    while each firing is known to change nothing, when the owner still
+    needs to know afterwards how many of those firings would have run.
+    Tick *k* holds the place in the event order the callback scheduled
+    by tick *k-1* would have had, so at any moment inside the run
+    ``due`` is the first tick that such a callback would not yet have
+    reached.  :meth:`cancel` stops the clock.
+    """
+
+    __slots__ = ("due", "period", "cancelled")
+
+    def __init__(self, first: int, period: int):
+        self.due = first
+        self.period = period
+        self.cancelled = False
+
+    def cancel(self) -> None:
+        self.cancelled = True
+
+    def __lt__(self, other: "Ticker") -> bool:
+        return False  # heap entries tie-break on (due, key) only
 
 
 def _describe(handle: EventHandle) -> str:
@@ -132,6 +177,13 @@ class Simulator:
         self.label = label
         self._heap: list[tuple[int, int, EventHandle]] = []
         self._seq: int = 0
+        #: live non-daemon events in the heap (see pending_work)
+        self._live_work: int = 0
+        #: (due, key, ticker): the tick orders as if scheduled when the
+        #: sequence counter stood at ``key``
+        self._ticks: list[tuple[int, int, Ticker]] = []
+        #: run(until=...) bound; step() never crosses it
+        self._horizon: float = math.inf
         self._running = False
         self.events_executed: int = 0
         self.trace = trace if trace is not None else NULL_RECORDER
@@ -156,8 +208,12 @@ class Simulator:
                 f"cannot schedule event at t={time} before now={self.now}"
             )
         self._seq += 1
-        handle = EventHandle(int(time), self._seq, callback, args, daemon)
-        heapq.heappush(self._heap, (handle.time, handle.seq, handle))
+        time = int(time)
+        handle = EventHandle(time, self._seq, callback, args, daemon,
+                             None if daemon else self)
+        if not daemon:
+            self._live_work += 1
+        heapq.heappush(self._heap, (time, self._seq, handle))
         return handle
 
     def schedule(self, delay: int, callback: Callable[..., Any], *args: Any,
@@ -165,8 +221,25 @@ class Simulator:
         """Schedule ``callback(*args)`` after ``delay`` microseconds."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.schedule_at(self.now + int(delay), callback, *args,
-                                daemon=daemon)
+        # same body as schedule_at, inlined: this is the hot path
+        self._seq += 1
+        time = self.now + int(delay)
+        handle = EventHandle(time, self._seq, callback, args, daemon,
+                             None if daemon else self)
+        if not daemon:
+            self._live_work += 1
+        heapq.heappush(self._heap, (time, self._seq, handle))
+        return handle
+
+    def ticker(self, first: int, period: int) -> Ticker:
+        """Start a :class:`Ticker` whose first tick is at ``first``,
+        ordered as if a callback had been scheduled for it right now."""
+        if first < self.now or period <= 0:
+            raise SimulationError(
+                f"bad ticker first={first} period={period} at now={self.now}")
+        ticker = Ticker(first, period)
+        heapq.heappush(self._ticks, (first, self._seq, ticker))
+        return ticker
 
     # ------------------------------------------------------------------
     # execution
@@ -179,11 +252,17 @@ class Simulator:
         return self._heap[0][0]
 
     def step(self) -> bool:
-        """Execute the next live event.  Returns False when drained."""
-        self._drop_dead()
-        if not self._heap:
+        """Execute the next live event.  Returns False when drained (or
+        when the next event lies beyond the bound of the current
+        ``run(until=...)``)."""
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        if not heap or heap[0][0] > self._horizon:
             return False
-        time, _seq, handle = heapq.heappop(self._heap)
+        time, seq, handle = heapq.heappop(heap)
+        if self._ticks and self._ticks[0][0] <= time:
+            self._pass_ticks(time, seq)
         if self._inv_on:
             self.invariants.on_event(time, self.now)
         self.now = time
@@ -197,6 +276,33 @@ class Simulator:
             callback(*args)
             self._prof.add("sim.dispatch", perf_counter() - t0)
         return True
+
+    def _pass_ticks(self, time: int, seq: float) -> None:
+        """Advance every ticker past its ticks that order before the
+        event ``(time, seq)``.
+
+        A rearming callback's tick at ``due`` was scheduled by its
+        previous tick, when the sequence counter stood at ``key``; it
+        runs before an event at the same time iff ``key < seq``.  No
+        event ran between the previous step and this one, so every tick
+        passed here rearms at the current counter value.
+        """
+        ticks = self._ticks
+        counter = self._seq
+        while ticks:
+            due, key, ticker = ticks[0]
+            if due > time or (due == time and key >= seq):
+                return
+            if ticker.cancelled:
+                heapq.heappop(ticks)
+                continue
+            # the first tick at or after ``time`` -- after it when the
+            # tick at ``time`` itself just passed
+            nxt = time + (due - time) % ticker.period
+            if nxt == due:
+                nxt += ticker.period
+            ticker.due = nxt
+            heapq.heapreplace(ticks, (nxt, counter, ticker))
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
         """Run until the heap drains, ``until`` is reached, or the event
@@ -223,35 +329,42 @@ class Simulator:
             deque(maxlen=5) if max_events is not None else None
         )
         t0 = perf_counter() if self._prof is not None else 0.0
+        # set even when None: a checkpoint pickled mid-run carries the bound
+        self._horizon = math.inf if until is None else until
         try:
             while True:
-                nxt = self.peek_time()
-                if nxt is None:
-                    break
-                if until is not None and nxt > until:
-                    break
-                if max_events is not None and executed >= max_events:
-                    tail = "; ".join(recent) if recent else "(none)"
-                    label = f" [{self.label}]" if self.label else ""
-                    raise SimulationError(
-                        f"event budget exhausted: {max_events} events executed "
-                        f"with {self.pending} still pending at t={self.now}"
-                        f"{label}; last events: {tail}"
-                    )
                 if recent is not None:
+                    nxt = self.peek_time()
+                    if nxt is None or nxt > self._horizon:
+                        break
+                    if executed >= max_events:
+                        tail = "; ".join(recent) if recent else "(none)"
+                        label = f" [{self.label}]" if self.label else ""
+                        raise SimulationError(
+                            f"event budget exhausted: {max_events} events "
+                            f"executed with {self.pending} still pending at "
+                            f"t={self.now}{label}; last events: {tail}"
+                        )
                     recent.append(_describe(self._heap[0][2]))
-                self.step()
+                if not self.step():
+                    break
                 executed += 1
         finally:
             self._running = False
+            self._horizon = math.inf
             if self._prof is not None:
                 self._prof.note_run(perf_counter() - t0, executed)
-        if until is not None and self.now < until:
-            self.now = until
+        if until is not None:
+            # every event at or before ``until`` ran; so do the ticks
+            self._pass_ticks(until, math.inf)
+            if self.now < until:
+                self.now = until
 
     @property
     def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued."""
+        """Number of live (non-cancelled) events still queued, daemons
+        included.  An O(n) heap scan for diagnostics only; liveness
+        gates use :attr:`pending_work`."""
         return sum(1 for _, _, h in self._heap if not h.cancelled)
 
     @property
@@ -259,10 +372,9 @@ class Simulator:
         """Live events that *drive* the run — daemon housekeeping
         timers excluded.  Self-rearming daemons must gate on this, not
         on :attr:`pending`, or any two of them would keep each other
-        alive after the real work has drained."""
-        return sum(
-            1 for _, _, h in self._heap if not h.cancelled and not h.daemon
-        )
+        alive after the real work has drained.  O(1): a counter kept by
+        schedule, cancel and step."""
+        return self._live_work
 
     def _drop_dead(self) -> None:
         heap = self._heap

@@ -207,7 +207,7 @@ class StreamReplayDriver:
         tick; the tick dies with the run (no other live events = the
         replay is over) exactly like the gauge sampler's rule.
         """
-        if self.sim.pending > 0:
+        if self.sim.pending_work > 0:
             self.sim.schedule(self.cfg.checkpoint_every,
                               self._on_checkpoint_tick)
         if self.watchdog is not None:

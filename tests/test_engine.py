@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event simulator kernel."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import SimulationError, Simulator
 
@@ -194,3 +196,145 @@ def test_deterministic_replay():
         return order
 
     assert drive(Simulator()) == drive(Simulator())
+
+
+# ----------------------------------------------------------------------
+# O(1) liveness: the live-work counter against a brute-force heap scan
+# ----------------------------------------------------------------------
+def _scan_pending_work(s: Simulator) -> int:
+    return sum(1 for _, _, h in s._heap if not h.cancelled and not h.daemon)
+
+
+_OPS = st.lists(
+    st.tuples(st.sampled_from(["schedule", "daemon", "cancel", "step",
+                               "nested"]),
+              st.integers(0, 50), st.integers(0, 10_000)),
+    max_size=80)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_OPS)
+def test_pending_work_counter_matches_scan(ops):
+    s = Simulator()
+    handles = []
+
+    def child(delay):
+        handles.append(s.schedule(delay, lambda: None))
+
+    for op, delay, pick in ops:
+        if op == "schedule":
+            handles.append(s.schedule(delay, lambda: None))
+        elif op == "daemon":
+            handles.append(s.schedule(delay, lambda: None, daemon=True))
+        elif op == "nested":
+            handles.append(s.schedule(delay, child, delay))
+        elif op == "cancel" and handles:
+            handles[pick % len(handles)].cancel()  # may be consumed/repeat
+        elif op == "step":
+            s.step()
+        assert s.pending_work == _scan_pending_work(s)
+    s.run()
+    assert s.pending_work == 0 == _scan_pending_work(s)
+
+
+def test_double_cancel_and_cancel_after_run_keep_the_count(sim):
+    a = sim.schedule(10, lambda: None)
+    b = sim.schedule(20, lambda: None)
+    sim.schedule(30, lambda: None, daemon=True)
+    assert sim.pending_work == 2
+    a.cancel()
+    a.cancel()
+    assert sim.pending_work == 1
+    assert sim.step() is True  # b runs (a is dead); the daemon remains
+    b.cancel()  # consumed handle: no-op
+    assert sim.pending_work == 0
+    assert sim.pending == 1  # diagnostics still see the daemon
+
+
+def test_pickle_round_trip_preserves_the_counter(sim):
+    import pickle
+
+    fired = []
+    sim.schedule(10, fired.append, "a")
+    dead = sim.schedule(15, fired.append, "dead")
+    sim.schedule(20, fired.append, "b")
+    sim.schedule(25, fired.append, "d", daemon=True)
+    dead.cancel()
+    sim.step()
+    restored = pickle.loads(pickle.dumps(sim))
+    assert restored.pending_work == sim.pending_work == 1
+    # the restored handles count against the restored simulator
+    live = [h for _, _, h in restored._heap if not h.cancelled]
+    assert all(h._sim in (restored, None) for h in live)
+    restored.run()
+    assert restored.pending_work == 0
+    assert sim.pending_work == 1  # the original is untouched
+
+
+# ----------------------------------------------------------------------
+# Ticker: ticks keep the order a self-rearming callback would have
+# ----------------------------------------------------------------------
+_SCRIPT = st.lists(
+    st.tuples(st.integers(0, 40),             # arrival time (x 100 us)
+              st.sampled_from([0, 1, 2, 3, 4, 6, 8])),  # child delay / 2
+    min_size=1, max_size=30)
+
+
+def _replay(script, first, period, use_ticker):
+    """Run the script; each event records how many ticks ran before it."""
+    s = Simulator()
+    seen = []
+    state = {"ticks": 0}
+    if use_ticker:
+        ticker = s.ticker(first, period)
+
+        def ticks_so_far():
+            return (ticker.due - first) // period
+    else:
+        def tick():
+            state["ticks"] += 1
+            s.schedule(period, tick)
+
+        s.schedule_at(first, tick)
+
+        def ticks_so_far():
+            return state["ticks"]
+
+    def event(tag, child_delay):
+        seen.append((tag, s.now, ticks_so_far()))
+        if child_delay:
+            s.schedule(child_delay, event, tag + "'", 0)
+
+    for i, (at, half) in enumerate(script):
+        s.schedule_at(at * 100, event, str(i), half * period // 2)
+    s.run(until=max(at for at, _ in script) * 100 + 4 * period)
+    return seen, ticks_so_far()
+
+
+@settings(max_examples=200, deadline=None)
+@given(script=_SCRIPT, first=st.integers(0, 10).map(lambda x: x * 100),
+       period=st.sampled_from([100, 200, 400]))
+def test_ticker_matches_a_rearming_callback(script, first, period):
+    assert (_replay(script, first, period, use_ticker=True)
+            == _replay(script, first, period, use_ticker=False))
+
+
+def test_cancelled_ticker_stops(sim):
+    t = sim.ticker(10, 10)
+    sim.schedule(35, lambda: None)
+    sim.run()
+    assert t.due == 40  # ticks at 10, 20, 30 passed
+    t.cancel()
+    sim.schedule(100, lambda: None)
+    sim.run()
+    assert t.due == 40
+    assert sim._ticks == []
+
+
+def test_ticker_rejects_bad_arguments(sim):
+    with pytest.raises(SimulationError):
+        sim.ticker(5, 0)
+    sim.schedule(10, lambda: None)
+    sim.run()
+    with pytest.raises(SimulationError):
+        sim.ticker(5, 10)
