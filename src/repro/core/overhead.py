@@ -54,18 +54,19 @@ class OverheadMeter:
         self._poll_cost[now // self.window] += cost
         self.poll_count += 1
 
-    def record_polls(self, first: int, period: int, n: int, cost: int) -> None:
-        """Charge ``n`` polls at ``first + k*period`` (k < n): the
-        closed form of ``n`` :meth:`record_poll` calls, one bucket
-        update per window."""
+    def record_polls(self, first: int, period: int, n: int, cost: int,
+                     per_tick: int = 1) -> None:
+        """Charge ``per_tick`` polls at each of ``first + k*period``
+        (k < n): the closed form of ``n * per_tick`` :meth:`record_poll`
+        calls, one bucket update per window."""
         window = self.window
         t, last = first, first + (n - 1) * period
         while t <= last:
             bucket = t // window
             k = (min(last, (bucket + 1) * window - 1) - t) // period + 1
-            self._poll_cost[bucket] += k * cost
+            self._poll_cost[bucket] += k * cost * per_tick
             t += k * period
-        self.poll_count += n
+        self.poll_count += n * per_tick
 
     def record_sched_op(self, now: int, cost: int) -> None:
         self._sched_cost[now // self.window] += cost

@@ -19,6 +19,7 @@ from repro.core.overhead import OverheadMeter
 from repro.core.overload import OverloadDetector
 from repro.core.worker import SFSWorker
 from repro.machine.base import MachineBase
+from repro.sim.engine import EventHandle, Ticker
 from repro.sim.task import SchedPolicy, Task, TaskState
 from repro.trace import events as tev
 from repro.why import audit as aud
@@ -124,9 +125,14 @@ class SFS:
         self.stats = SFSStats()
         self._by_tid: Dict[int, SFSWorker] = {}
         self._watch: Dict[int, QueueEntry] = {}
-        self._watch_poll_active = False
+        # the watch-list poll chain: a ticker while every watched
+        # function is asleep, a real event once one may have woken
+        self._watch_ticker: Optional[Ticker] = None
+        self._watch_handle: Optional[EventHandle] = None
         self._draining = False
         machine.on_finish(self._on_task_finish)
+        if self.config.io_aware:
+            machine.on_io_transition(self._on_io_transition)
 
     # ==================================================================
     # entry point (Fig 4, step 1): the FaaS server tells SFS about a
@@ -263,26 +269,22 @@ class SFS:
             max(1, slice_left), self._on_slice_expiry, worker, task
         )
         if self.config.io_aware:
-            poll = self.config.poll_interval
-            if self.machine.can_block(task):
-                worker.poll_handle = self.sim.schedule(
-                    poll, self._on_worker_poll, worker, task
-                )
-            else:
-                # 4.3 for a function with no I/O left: every poll would
-                # read READY/RUNNING and rearm, so none runs; the ticker
-                # marks where each would have, to be charged on release
-                worker.poll_ticker = self.sim.ticker(now + poll, poll)
+            self._tick_worker_polls(worker)
 
     # ==================================================================
     # FILTER-mode lifecycle (Fig 4, steps 4.1-4.3)
     # ==================================================================
     def _on_task_finish(self, task: Task) -> None:
         """waitpid: the function returned (4.1) — release its worker."""
-        if self._watch.pop(task.tid, None) is not None:
+        if task.tid in self._watch:
+            self._charge_watch_polls()
+            del self._watch[task.tid]
             self.stats.finished_while_watched += 1
             if self._trace_on:
                 self._trace.emit(self.sim.now, tev.SFS_WATCH_FINISH, task.tid)
+            if not self._watch and self._watch_ticker is not None:
+                # the chain still runs its next, now empty, tick
+                self._fire_watch_poll()
         worker = self._by_tid.pop(task.tid, None)
         if worker is None:
             return
@@ -296,7 +298,7 @@ class SFS:
                     self._m_filter_finish.inc()
             if self._metrics_on:
                 self._m_boost_us.inc(self.sim.now - worker.assigned_at)
-            self._charge_elided_polls(worker)
+            self._charge_elided_polls(worker.poll_ticker)
             worker.clear()
             self._drain()
 
@@ -320,23 +322,40 @@ class SFS:
                                displaced=task.tid, reason="slice")
         self._sched_op()
         self._by_tid.pop(task.tid, None)
-        self._charge_elided_polls(worker)
+        self._charge_elided_polls(worker.poll_ticker)
         worker.clear()
         self.machine.set_policy(task, SchedPolicy.CFS)
         self._drain()
 
-    def _charge_elided_polls(self, worker: SFSWorker) -> None:
-        """Charge the 4.3 polls a released worker's ticker stood in for:
-        one per tick ``assigned_at + k*poll_interval`` the rearming poll
-        would have reached before this release (the ticker orders ties
-        with the releasing event exactly)."""
-        ticker = worker.poll_ticker
-        if ticker is None:
-            return
-        poll = self.config.poll_interval
-        start = worker.assigned_at + poll
-        self.overhead.record_polls(start, poll, (ticker.due - start) // poll,
-                                   self.config.poll_cost)
+    def _charge_elided_polls(self, ticker: Optional[Ticker],
+                             per_tick: int = 1) -> None:
+        """Charge the polls a poll chain's ticker stood in for since the
+        last charge: ``per_tick`` per tick the rearming chain would have
+        reached by now (the ticker orders ties with the current event
+        exactly)."""
+        if ticker is not None:
+            first, n = ticker.take()
+            self.overhead.record_polls(first, ticker.period, n,
+                                       self.config.poll_cost, per_tick)
+
+    def _on_io_transition(self, task: Task, blocked: bool) -> None:
+        """The machine saw ``task`` block or wake.
+
+        This is simulator ground truth, so it never feeds a decision:
+        it only turns the next tick of the poll chain that would observe
+        the change into a real poll, at that tick's place in the event
+        order.  The poll itself still reads ``/proc``; if the task woke
+        or slept again before the tick, it reads that state, exactly as
+        the always-polling scheduler would (§V-D detection latency)."""
+        if blocked:
+            worker = self._by_tid.get(task.tid)
+            if worker is not None and worker.poll_ticker is not None:
+                self._charge_elided_polls(worker.poll_ticker)
+                worker.poll_handle = self.sim.fire(
+                    worker.poll_ticker, self._on_worker_poll, worker, task)
+                worker.poll_ticker = None
+        elif self._watch_ticker is not None and task.tid in self._watch:
+            self._fire_watch_poll()
 
     def _on_worker_poll(self, worker: SFSWorker, task: Task) -> None:
         """4.3: periodic kernel-status poll of the FILTER function."""
@@ -373,38 +392,60 @@ class SFS:
                 self.stats.demoted_io_exhausted += 1
                 task.sfs_demoted = True
             self._drain()
-        elif state is TaskState.FINISHED:  # defensive; finish cb handles it
-            worker.clear()
-            self._drain()
         else:
-            worker.poll_handle = self.sim.schedule(
-                self.config.poll_interval, self._on_worker_poll, worker, task
-            )
+            # woke again before this tick (a finished function never
+            # gets here: the finish callback released the worker and
+            # cancelled this poll)
+            self._tick_worker_polls(worker)
+
+    def _tick_worker_polls(self, worker: SFSWorker) -> None:
+        """Arm the 4.3 poll chain of a running FILTER function.  Until
+        it blocks, every poll would read READY/RUNNING and rearm, so
+        none runs: a ticker marks where each would have, and the block
+        report makes the next one real (see _on_io_transition)."""
+        poll = self.config.poll_interval
+        worker.poll_ticker = self.sim.ticker(self.sim.now + poll, poll)
 
     # ==================================================================
     # blocked-function watch list (§V-D)
     # ==================================================================
     def _watch_task(self, entry: QueueEntry) -> None:
+        self._charge_watch_polls()
         self._watch[entry.task.tid] = entry
         if self._trace_on:
             self._trace.emit(self.sim.now, tev.SFS_WATCH, entry.task.tid)
-        if not self._watch_poll_active:
-            self._watch_poll_active = True
-            self.sim.schedule(self.config.poll_interval, self._on_watch_poll)
+        if self._watch_ticker is None and self._watch_handle is None:
+            self._tick_watch_polls()
+
+    def _tick_watch_polls(self) -> None:
+        """Arm the watch-list poll chain while every watched function
+        is asleep: its polls are no-ops until one wakes, so a ticker
+        stands in for them until the wake report."""
+        poll = self.config.poll_interval
+        self._watch_ticker = self.sim.ticker(self.sim.now + poll, poll)
+
+    def _charge_watch_polls(self) -> None:
+        """Charge the watch ticks elided so far, one poll per watched
+        function per tick (call before the list changes)."""
+        self._charge_elided_polls(self._watch_ticker, len(self._watch))
+
+    def _fire_watch_poll(self) -> None:
+        """Make the watch chain's next tick a real poll."""
+        self._charge_watch_polls()
+        self._watch_handle = self.sim.fire(self._watch_ticker,
+                                           self._on_watch_poll)
+        self._watch_ticker = None
 
     def _on_watch_poll(self) -> None:
+        self._watch_handle = None
         now = self.sim.now
         woke: List[QueueEntry] = []
         for tid in list(self._watch):
             entry = self._watch[tid]
             self.overhead.record_poll(now, self.config.poll_cost)
+            # (a finished function left the list in _on_task_finish)
             state = self.machine.poll_state(entry.task)
-            if state is TaskState.FINISHED:
-                self.stats.finished_while_watched += 1
-                if self._trace_on:
-                    self._trace.emit(now, tev.SFS_WATCH_FINISH, tid)
-                del self._watch[tid]
-            elif state in (TaskState.READY, TaskState.RUNNING):
+            if state in (TaskState.READY, TaskState.RUNNING):
                 del self._watch[tid]
                 woke.append(entry)
         for entry in woke:
@@ -422,9 +463,7 @@ class SFS:
                 )
             )
         if self._watch:
-            self.sim.schedule(self.config.poll_interval, self._on_watch_poll)
-        else:
-            self._watch_poll_active = False
+            self._tick_watch_polls()  # whoever is left is asleep
         if woke:
             self._drain()
 
@@ -433,7 +472,7 @@ class SFS:
         self.overhead.record_sched_op(self.sim.now, self.config.sched_op_cost)
 
     def busy_workers(self) -> int:
-        return sum(1 for w in self.workers if not w.idle)
+        return len(self._by_tid)  # one entry per occupied worker
 
     def queued(self) -> int:
         """Requests currently waiting across all global queue(s)."""

@@ -2,9 +2,9 @@
 
 One worker per CPU core (goroutines in the paper's Go implementation).
 A worker is either idle or shepherding exactly one FILTER-mode function:
-it owns that function's slice timer and status-poll timer (or, for a
-function that cannot block, the ticker standing in for the polls) and
-releases them when the function finishes, blocks, or is demoted.
+it owns that function's slice timer and status-poll timer (a ticker
+standing in for the polls until the function blocks) and releases them
+when the function finishes, blocks, or is demoted.
 """
 
 from __future__ import annotations

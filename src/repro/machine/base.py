@@ -8,10 +8,13 @@ do on Linux, because SFS is a user-space scheduler:
 * ``poll_state``   — reading ``/proc/<pid>/stat`` (gopsutil);
 * ``on_finish``    — ``waitpid``/SIGCHLD, which user space gets for free.
 
-There is intentionally **no** ``on_block`` callback: the paper's whole
-§V-D is about SFS having to *poll* for the running→sleeping transition,
-so exposing it as a push event would erase the detection-latency effect
-the reproduction must show (Fig 11).
+There is intentionally **no** ``on_block`` callback in that API: the
+paper's whole §V-D is about SFS having to *poll* for the
+running→sleeping transition, so exposing it as a push event would erase
+the detection-latency effect the reproduction must show (Fig 11).
+:meth:`MachineBase.on_io_transition` is simulator bookkeeping, not user
+space: it tells a poller which of its periodic polls will see a change,
+so the others need not run, and the polls themselves still decide.
 """
 
 from __future__ import annotations
@@ -22,10 +25,12 @@ from typing import Callable, List, Optional
 from repro.sched.cfs import CfsParams
 from repro.sched.rt import DEFAULT_RR_QUANTUM
 from repro.sim.engine import Simulator
-from repro.sim.task import BurstKind, SchedPolicy, Task, TaskState
+from repro.sim.task import SchedPolicy, Task, TaskState
 from repro.trace import events as tev
 
 FinishCallback = Callable[[Task], None]
+#: ``(task, blocked)``: the task went to sleep (True) or woke (False)
+IoCallback = Callable[[Task, bool], None]
 
 
 @dataclass(frozen=True)
@@ -85,6 +90,7 @@ class MachineBase:
         self.params = params or MachineParams()
         self.n_cores = self.params.n_cores
         self._finish_callbacks: List[FinishCallback] = []
+        self._io_observer: Optional[IoCallback] = None
         # structured tracing: recorder and its enabled flag are cached at
         # construction (install the recorder on the Simulator first); the
         # plain-bool guard keeps disabled-mode sites to one attribute load
@@ -124,17 +130,25 @@ class MachineBase:
         raise NotImplementedError
 
     def poll_state(self, task: Task) -> TaskState:
-        """Read the kernel-visible process state (``/proc`` poll)."""
+        """Read the kernel-visible process state (``/proc`` poll); the
+        task's CPU accounting is up to date when this returns."""
+        self._sync_accounting(task)
         return task.state
 
-    def can_block(self, task: Task) -> bool:
-        """Simulator ground truth: does an I/O burst remain ahead of
-        ``task``?  Callers may use it only to skip an event whose
-        outcome is known in advance (a status poll of a task that can
-        never sleep), never as a scheduling-policy input."""
-        bursts = task.bursts
-        return any(bursts[i].kind is BurstKind.IO
-                   for i in range(task.burst_index, len(bursts)))
+    def _sync_accounting(self, task: Task) -> None:
+        """Engine hook: apply any CPU charges kept lazily for ``task``."""
+
+    def on_io_transition(self, callback: IoCallback) -> None:
+        """Register the observer of I/O blocks and wake-ups.
+
+        ``callback(task, True)`` runs when a task leaves the CPU to
+        sleep on I/O, ``callback(task, False)`` when its I/O completes
+        and it becomes runnable again.  This is simulator ground truth:
+        a poller may use it only to know which of its periodic polls
+        will observe a change (the others are no-ops and need not run),
+        never as a scheduling-policy input.  One observer per machine.
+        """
+        self._io_observer = callback
 
     def on_finish(self, callback: FinishCallback) -> None:
         """Register a process-exit observer (``waitpid`` semantics)."""

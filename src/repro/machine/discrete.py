@@ -19,9 +19,9 @@ from typing import List, Optional
 
 from repro.machine.base import MachineBase, MachineParams
 from repro.obs.profiler import perf_counter
-from repro.sched.cfs import CfsRunqueue
+from repro.sched.cfs import NICE_0_WEIGHT, CfsRunqueue
 from repro.sched.rt import RTRunqueue
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import EventHandle, Simulator, Ticker
 from repro.sim.task import Burst, BurstKind, SchedPolicy, Task, TaskState
 from repro.trace import events as tev
 from repro.why import audit as aud
@@ -34,6 +34,7 @@ class _Core:
         "task",
         "run_start",
         "slice_handle",
+        "slice_ticker",
         "completion_handle",
         "throttle_handle",
         "last_tid",
@@ -47,6 +48,9 @@ class _Core:
         self.task: Optional[Task] = None
         self.run_start: int = 0
         self.slice_handle: Optional[EventHandle] = None
+        #: stands in for slice_handle while the running CFS task is alone
+        #: on the core (see DiscreteMachine._on_slice_expiry)
+        self.slice_ticker: Optional[Ticker] = None
         self.completion_handle: Optional[EventHandle] = None
         self.throttle_handle: Optional[EventHandle] = None
         self.last_tid: Optional[int] = None
@@ -58,6 +62,9 @@ class _Core:
         if self.slice_handle is not None:
             self.slice_handle.cancel()
             self.slice_handle = None
+        if self.slice_ticker is not None:
+            self.slice_ticker.cancel()
+            self.slice_ticker = None
         if self.completion_handle is not None:
             self.completion_handle.cancel()
             self.completion_handle = None
@@ -84,6 +91,9 @@ class DiscreteMachine(MachineBase):
         #: straggler speed factor; the == 1.0 guard keeps the nominal
         #: path on exact integer arithmetic (bit-identical runs)
         self._speed = self.params.speed
+        #: EEVDF base slice; None under CFS (see _steady_slice)
+        self._eevdf_slice = (self.cores[0].rq.params.base_slice
+                             if self.params.fair_class == "eevdf" else None)
         if self._metrics_on:
             from repro.obs.hooks import RunqueueObs
 
@@ -172,6 +182,9 @@ class DiscreteMachine(MachineBase):
                 if core.slice_handle is not None:
                     core.slice_handle.cancel()
                     core.slice_handle = None
+                if core.slice_ticker is not None:
+                    core.slice_ticker.cancel()
+                    core.slice_ticker = None
                 if policy is SchedPolicy.RR:
                     core.slice_handle = self.sim.schedule(
                         self.params.rr_quantum, self._on_quantum, core, task
@@ -231,11 +244,17 @@ class DiscreteMachine(MachineBase):
         return sum(len(c.rq) for c in self.cores) + len(self.rt_rq)
 
     def sample_gauges(self, trace, now: int) -> None:
-        super().sample_gauges(trace, now)
-        for core in self.cores:
-            trace.emit(now, tev.GAUGE_RUNQUEUE, core=core.index,
-                       args=(len(core.rq),))
-        trace.emit(now, tev.GAUGE_RT_QUEUE, args=(len(self.rt_rq),))
+        # the base snapshot plus per-queue depth, each queue read once
+        cores = self.cores
+        depths = [len(core.rq) for core in cores]
+        rt = len(self.rt_rq)
+        emit = trace.emit
+        emit(now, tev.GAUGE_RUNNABLE, args=(sum(depths) + rt,))
+        emit(now, tev.GAUGE_IDLE_CORES,
+             args=(sum(1 for core in cores if core.task is None),))
+        for index, depth in enumerate(depths):
+            emit(now, tev.GAUGE_RUNQUEUE, core=index, args=(depth,))
+        emit(now, tev.GAUGE_RT_QUEUE, args=(rt,))
 
     # ==================================================================
     # internals
@@ -254,6 +273,9 @@ class DiscreteMachine(MachineBase):
     def _enqueue_cfs(self, task: Task, wakeup: bool) -> None:
         core = self._least_loaded_core()
         task._rq_core = core.index  # type: ignore[attr-defined]
+        if core.slice_ticker is not None:
+            # the running task's next slice tick will find company
+            self._fire_slice(core)
         core.rq.enqueue(task, wakeup=wakeup)
         if core.task is None:
             self._pick_next(core)
@@ -324,6 +346,7 @@ class DiscreteMachine(MachineBase):
                 return
             core = self._find_rt_target(nxt.rt_priority)
             if core is None:
+                self._fire_slices()  # RT work waits: slice ticks see it
                 return
             victim = core.task
             if victim is not None:
@@ -414,6 +437,7 @@ class DiscreteMachine(MachineBase):
         now = self.sim.now
         assert core.task is None, f"core {core.index} already running {core.task}"
         assert core.slice_handle is None or core.slice_handle.cancelled
+        assert core.slice_ticker is None
         assert core.completion_handle is None or core.completion_handle.cancelled
         burst = task.current_burst
         assert burst is not None and burst.kind is BurstKind.CPU, (
@@ -473,10 +497,15 @@ class DiscreteMachine(MachineBase):
         return int(math.ceil(service / self._speed))
 
     def _charge(self, core: _Core) -> None:
+        if core.slice_ticker is not None:
+            self._settle(core)
+        self._charge_until(core, self.sim.now)
+
+    def _charge_until(self, core: _Core, now: int) -> None:
         task = core.task
         assert task is not None
         # run_start may sit in the future while the switch cost is paid
-        elapsed = max(0, self.sim.now - core.run_start)
+        elapsed = max(0, now - core.run_start)
         if elapsed > 0:
             if self._speed == 1.0:
                 served = elapsed
@@ -498,7 +527,7 @@ class DiscreteMachine(MachineBase):
                 self._rt_budget(core)  # roll the period if needed
                 core.rt_usage += elapsed
         # keep a future run_start (unfinished switch window) intact
-        core.run_start = max(core.run_start, self.sim.now)
+        core.run_start = max(core.run_start, now)
 
     # ------------------------------------------------------------------
     # event handlers
@@ -533,9 +562,59 @@ class DiscreteMachine(MachineBase):
             core.rq.enqueue(task, wakeup=False)
             self._pick_next(core)
         else:
-            core.slice_handle = self.sim.schedule(
-                core.rq.timeslice_for(task), self._on_slice_expiry, core, task
-            )
+            ts = core.rq.timeslice_for(task)
+            if self._steady_slice(task, ts):
+                # alone on the core: each further tick only charges the
+                # task and rearms, until work is queued for it
+                core.slice_ticker = self.sim.ticker(self.sim.now + ts, ts)
+            else:
+                core.slice_handle = self.sim.schedule(
+                    ts, self._on_slice_expiry, core, task)
+
+    def _steady_slice(self, task: Task, ts: int) -> bool:
+        """Would every further tick of ``task`` alone on its core charge
+        exactly the elapsed time and rearm with the same slice ``ts``?
+
+        CFS slices a lone task by weight alone.  EEVDF grants one base
+        slice per tick only at nice 0.  On a straggler the fractional
+        service credit can end the burst on a tick, before its
+        completion event, so those ticks stay real."""
+        if self._speed != 1.0:
+            return False
+        base = self._eevdf_slice
+        return base is None or (ts == base and task.weight == NICE_0_WEIGHT)
+
+    def _settle(self, core: _Core) -> None:
+        """Apply the charges of the slice ticks elided so far, one by one
+        as each tick made them (a weighted vruntime step rounds per
+        charge): the task ends charged up to its last passed tick, not
+        up to now."""
+        ticker = core.slice_ticker
+        first, n = ticker.take()
+        task, rq, period = core.task, core.rq, ticker.period
+        for k in range(n):
+            self._charge_until(core, first + k * period)
+            rq.timeslice_for(task)  # the tick's rearm (EEVDF: next request)
+
+    def _fire_slice(self, core: _Core) -> None:
+        """Make the core's next slice tick a real expiry event; the
+        caller is about to read what the elided ticks charged."""
+        self._settle(core)
+        core.slice_handle = self.sim.fire(
+            core.slice_ticker, self._on_slice_expiry, core, core.task)
+        core.slice_ticker = None
+
+    def _fire_slices(self) -> None:
+        """RT work is waiting: every slice tick would deschedule."""
+        for core in self.cores:
+            if core.slice_ticker is not None:
+                self._fire_slice(core)
+
+    def _sync_accounting(self, task: Task) -> None:
+        if task.state is TaskState.RUNNING:
+            core = self.cores[task._run_core]  # type: ignore[attr-defined]
+            if core.slice_ticker is not None:
+                self._settle(core)
 
     def _on_quantum(self, core: _Core, task: Task) -> None:
         """SCHED_RR quantum expiry: rotate among equal-priority RT tasks."""
@@ -563,6 +642,8 @@ class DiscreteMachine(MachineBase):
             core.task = None
             self.rt_rq.enqueue(task)
             self._pick_next(core)
+            if self.rt_rq:
+                self._fire_slices()
         else:
             core.slice_handle = self.sim.schedule(
                 self.params.rr_quantum, self._on_quantum, core, task
@@ -598,6 +679,8 @@ class DiscreteMachine(MachineBase):
             task._io_handle = self.sim.schedule(  # type: ignore[attr-defined]
                 nxt.duration, self._on_io_done, task, nxt.duration
             )
+            if self._io_observer is not None:
+                self._io_observer(task, True)
             self._pick_next(core)
         else:  # back-to-back CPU burst: keep the core, restart timers
             core.run_start = self.sim.now
@@ -625,6 +708,8 @@ class DiscreteMachine(MachineBase):
         if self._trace_on:
             self._trace.emit(self.sim.now, tev.TASK_WAKE, task.tid)
         self._make_ready(task)
+        if self._io_observer is not None:
+            self._io_observer(task, False)
         self._enqueue_ready(task, wakeup=True)
 
     def _on_rt_throttle(self, core: _Core, task: Task) -> None:
@@ -653,6 +738,7 @@ class DiscreteMachine(MachineBase):
         next_period_start = (self.sim.now // period + 1) * period
         self.sim.schedule_at(next_period_start, self._on_rt_unthrottle)
         self._pick_next(core)  # CFS work runs in the throttled window
+        self._fire_slices()  # the throttled task waits in rt_rq
 
     def _on_rt_unthrottle(self) -> None:
         """A bandwidth period rolled over: waiting RT tasks may run."""

@@ -487,6 +487,8 @@ class FluidMachine(MachineBase):
             task._io_handle = self.sim.schedule(  # type: ignore[attr-defined]
                 nxt.duration, self._on_io_done, task, nxt.duration
             )
+            if self._io_observer is not None:
+                self._io_observer(task, True)
         else:  # consecutive CPU burst: continue under the current policy
             task.state = TaskState.READY
             task._ready_since = self.sim.now  # type: ignore[attr-defined]
@@ -505,6 +507,8 @@ class FluidMachine(MachineBase):
             self._trace.emit(self.sim.now, tev.TASK_WAKE, task.tid)
         task.state = TaskState.READY
         task._ready_since = self.sim.now  # type: ignore[attr-defined]
+        if self._io_observer is not None:
+            self._io_observer(task, False)
         self._enqueue_ready(task)
         if self._is_dedicated(task.policy):
             self._dispatch_rt()

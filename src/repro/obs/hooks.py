@@ -23,6 +23,10 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.trace import events as tev
+from repro.trace.events import TraceEvent
+from repro.trace.recorder import TraceRecorder
+
+_tuple_new = tuple.__new__
 
 #: gauge trace kind -> (metric name, help text, labelled per core?)
 GAUGE_METRICS: Dict[str, Tuple[str, str, bool]] = {
@@ -64,23 +68,35 @@ GAUGE_METRICS: Dict[str, Tuple[str, str, bool]] = {
 
 
 class GaugeSink:
-    """Fanout for periodic ``gauge.*`` samples: registry + trace."""
+    """Fanout for periodic ``gauge.*`` samples: registry + trace.
 
-    __slots__ = ("_registry", "_trace", "_trace_on", "_gauges")
+    A :class:`~repro.trace.recorder.TraceRecorder` gets its events
+    appended directly (the sampler emits a dozen per tick); any other
+    enabled recorder through its ``emit``.
+    """
+
+    __slots__ = ("_registry", "_registry_on", "_trace", "_trace_on",
+                 "_append", "_gauges")
 
     def __init__(self, registry, trace) -> None:
         self._registry = registry
+        self._registry_on = registry.enabled
         self._trace = trace
         self._trace_on = trace.enabled
+        self._append = (trace.events.append if type(trace) is TraceRecorder
+                        else None)
         self._gauges: Dict[Tuple[str, int], object] = {}
 
     def emit(self, ts: int, kind: str, tid: int = -1, core: int = -1,
              args: Tuple = ()) -> None:
         # trace first: the adapter must preserve the recorder's exact
         # pre-registry event stream (order included)
-        if self._trace_on:
+        if self._append is not None:
+            # TraceEvent(...) without the generated keyword-parsing __new__
+            self._append(_tuple_new(TraceEvent, (ts, kind, tid, core, args)))
+        elif self._trace_on:
             self._trace.emit(ts, kind, tid, core, args)
-        if not self._registry.enabled or not args:
+        if not self._registry_on or not args:
             return
         gauge = self._gauges.get((kind, core))
         if gauge is None:
@@ -91,7 +107,7 @@ class GaugeSink:
             labels = {"core": str(core)} if per_core and core >= 0 else None
             gauge = self._registry.gauge(name, help=help, labels=labels)
             self._gauges[(kind, core)] = gauge
-        gauge.set(args[0], ts=ts)
+        gauge.set(args[0], ts)
 
 
 class RunqueueObs:

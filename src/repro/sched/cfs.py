@@ -86,7 +86,7 @@ class CfsRunqueue:
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._tree)
+        return len(self._nodes)
 
     def __contains__(self, task: Task) -> bool:
         return task.tid in self._nodes

@@ -15,7 +15,9 @@ A :class:`Ticker` stands in for a self-rearming periodic callback whose
 every firing is known in advance to do nothing: it lives outside the
 event heap, runs no callback, and is advanced lazily as real events
 pass it — but each tick keeps the exact place in the event order that
-the rearming callback would have had.
+the rearming callback would have had.  When its owner learns that the
+next firing *will* matter, :meth:`Simulator.fire` turns that one tick
+into a real event, still in the same place.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ from repro.obs.profiler import perf_counter
 from repro.obs.registry import NULL_REGISTRY
 from repro.trace.recorder import NULL_RECORDER
 from repro.why.audit import NULL_AUDIT
+
+_heappop = heapq.heappop
+_heapreplace = heapq.heapreplace
 
 
 class SimulationError(RuntimeError):
@@ -96,23 +101,39 @@ class Ticker:
     while each firing is known to change nothing, when the owner still
     needs to know afterwards how many of those firings would have run.
     Tick *k* holds the place in the event order the callback scheduled
-    by tick *k-1* would have had, so at any moment inside the run
-    ``due`` is the first tick that such a callback would not yet have
-    reached.  :meth:`cancel` stops the clock.
+    by tick *k-1* would have had: ``(due, key)`` is the first tick such
+    a callback would not yet have reached, ordered among events as if
+    scheduled with sequence number ``key``.  A live ticker counts
+    toward :attr:`Simulator.pending_work`, as the rearming callback's
+    pending event did.  :meth:`cancel` stops the clock; :meth:`take`
+    counts the ticks passed since the last call.
     """
 
-    __slots__ = ("due", "period", "cancelled")
+    __slots__ = ("due", "key", "period", "mark", "cancelled", "_sim")
 
-    def __init__(self, first: int, period: int):
+    def __init__(self, first: int, key: int, period: int,
+                 sim: "Simulator"):
         self.due = first
+        self.key = key
         self.period = period
+        #: first tick not yet counted by take()
+        self.mark = first
         self.cancelled = False
+        self._sim = sim
 
     def cancel(self) -> None:
-        self.cancelled = True
+        """Stop the clock.  Safe to call repeatedly."""
+        if not self.cancelled:
+            self.cancelled = True
+            self._sim._live_work -= 1
 
-    def __lt__(self, other: "Ticker") -> bool:
-        return False  # heap entries tie-break on (due, key) only
+    def take(self) -> tuple[int, int]:
+        """``(first, n)``: the ``n`` ticks ``first + k*period`` passed
+        since the previous call (or since the start)."""
+        first = self.mark
+        n = (self.due - first) // self.period
+        self.mark = first + n * self.period
+        return first, n
 
 
 def _describe(handle: EventHandle) -> str:
@@ -177,10 +198,11 @@ class Simulator:
         self.label = label
         self._heap: list[tuple[int, int, EventHandle]] = []
         self._seq: int = 0
-        #: live non-daemon events in the heap (see pending_work)
+        #: live non-daemon events in the heap plus live tickers (see
+        #: pending_work)
         self._live_work: int = 0
-        #: (due, key, ticker): the tick orders as if scheduled when the
-        #: sequence counter stood at ``key``
+        #: (due, key, ticker): the tick orders as if scheduled with
+        #: sequence number ``key``
         self._ticks: list[tuple[int, int, Ticker]] = []
         #: run(until=...) bound; step() never crosses it
         self._horizon: float = math.inf
@@ -198,22 +220,27 @@ class Simulator:
     # scheduling
     # ------------------------------------------------------------------
     def schedule_at(self, time: int, callback: Callable[..., Any], *args: Any,
-                    daemon: bool = False) -> EventHandle:
+                    daemon: bool = False,
+                    seq: Optional[int] = None) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute virtual time ``time``.
 
         ``daemon=True`` marks a housekeeping timer excluded from
-        :attr:`pending_work` (see :class:`EventHandle`)."""
+        :attr:`pending_work` (see :class:`EventHandle`).  ``seq`` places
+        the event by a sequence number allocated earlier (a ticker's
+        tick, see :meth:`fire`) instead of a fresh one."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule event at t={time} before now={self.now}"
             )
-        self._seq += 1
+        if seq is None:
+            self._seq += 1
+            seq = self._seq
         time = int(time)
-        handle = EventHandle(time, self._seq, callback, args, daemon,
+        handle = EventHandle(time, seq, callback, args, daemon,
                              None if daemon else self)
         if not daemon:
             self._live_work += 1
-        heapq.heappush(self._heap, (time, self._seq, handle))
+        heapq.heappush(self._heap, (time, seq, handle))
         return handle
 
     def schedule(self, delay: int, callback: Callable[..., Any], *args: Any,
@@ -237,9 +264,21 @@ class Simulator:
         if first < self.now or period <= 0:
             raise SimulationError(
                 f"bad ticker first={first} period={period} at now={self.now}")
-        ticker = Ticker(first, period)
+        self._seq += 1
+        self._live_work += 1
+        ticker = Ticker(first, self._seq, period, self)
         heapq.heappush(self._ticks, (first, self._seq, ticker))
         return ticker
+
+    def fire(self, ticker: Ticker, callback: Callable[..., Any],
+             *args: Any) -> EventHandle:
+        """Stop ``ticker`` and schedule ``callback(*args)`` at its next
+        tick, in the place in the event order that tick holds.
+
+        The owner calls this as soon as it knows the next firing of the
+        callback the ticker stands in for will not be a no-op."""
+        ticker.cancel()
+        return self.schedule_at(ticker.due, callback, *args, seq=ticker.key)
 
     # ------------------------------------------------------------------
     # execution
@@ -281,28 +320,84 @@ class Simulator:
         """Advance every ticker past its ticks that order before the
         event ``(time, seq)``.
 
-        A rearming callback's tick at ``due`` was scheduled by its
-        previous tick, when the sequence counter stood at ``key``; it
-        runs before an event at the same time iff ``key < seq``.  No
-        event ran between the previous step and this one, so every tick
-        passed here rearms at the current counter value.
+        Each tick stands for a callback that, when it ran, rearmed
+        itself with the next sequence number, so each ticker passed here
+        takes a fresh number.  A tick rearmed in this pass orders after
+        every event already queued, so it passes an event at its own
+        time only at the end of ``run(until)`` (``seq`` infinite).
+        Numbers only ever order ticks and events at one time, and the
+        heap hands tickers out in the order of their first passed tick.
+        That is the order their rearming callbacks ran, except between
+        tickers rearmed to one time of which one passed several ticks;
+        both then come out of the heap at or after the first ticker
+        that passed several (see :meth:`_order_ties`).
         """
         ticks = self._ticks
-        counter = self._seq
+        counter = start = self._seq
+        upto = time if seq > counter else time - 1
+        # first passed tick of each ticker handed out since the first one
+        # that passed several ticks (None until then)
+        firsts = None
         while ticks:
             due, key, ticker = ticks[0]
             if due > time or (due == time and key >= seq):
-                return
+                break
             if ticker.cancelled:
-                heapq.heappop(ticks)
+                _heappop(ticks)
                 continue
-            # the first tick at or after ``time`` -- after it when the
-            # tick at ``time`` itself just passed
-            nxt = time + (due - time) % ticker.period
-            if nxt == due:
-                nxt += ticker.period
+            nxt = due + ticker.period
+            if nxt <= upto:
+                period = ticker.period
+                nxt += ((upto - nxt) // period + 1) * period
+                if firsts is None:
+                    firsts = {}
+            counter += 1
             ticker.due = nxt
-            heapq.heapreplace(ticks, (nxt, counter, ticker))
+            ticker.key = counter
+            _heapreplace(ticks, (nxt, counter, ticker))
+            if firsts is not None:
+                firsts[ticker] = due
+        self._seq = counter
+        if firsts is not None and len({t.due for t in firsts}) < len(firsts):
+            self._order_ties(start, firsts)
+
+    def _order_ties(self, start: int, firsts: dict) -> None:
+        """Renumber the tickers the last pass rearmed to a common time in
+        the order their rearming callbacks would have run.
+
+        The pass numbered tickers from ``start + 1`` on, in the order of
+        their first passed tick; ``firsts`` maps those that can be out of
+        order to that tick.  The callback rearming from a ticker's last
+        passed tick ran first if that tick was earlier, or, at the same
+        time, if the tick's own number was older: one from before the
+        pass (a single tick passed), else one rearmed from an earlier
+        tick (``last - period``), else one rearmed from fewer ticks,
+        else the one numbered first.
+        """
+        ticks = self._ticks
+        groups: dict = {}
+        for due, key, ticker in ticks:
+            if key > start:
+                groups.setdefault(due, []).append(ticker)
+        moved = False
+        for group in groups.values():
+            if len(group) < 2:
+                continue
+            order = []
+            for ticker in group:
+                last = ticker.due - ticker.period
+                span = last - firsts.get(ticker, last)
+                order.append((last, last - ticker.period if span else -1,
+                              span, ticker.key, ticker))
+            order.sort()
+            keys = sorted(ticker.key for ticker in group)
+            for entry, key in zip(order, keys):
+                if entry[4].key != key:
+                    entry[4].key = key
+                    moved = True
+        if moved:
+            ticks[:] = [(due, ticker.key, ticker) for due, _, ticker in ticks]
+            heapq.heapify(ticks)
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
         """Run until the heap drains, ``until`` is reached, or the event
@@ -373,7 +468,8 @@ class Simulator:
         timers excluded.  Self-rearming daemons must gate on this, not
         on :attr:`pending`, or any two of them would keep each other
         alive after the real work has drained.  O(1): a counter kept by
-        schedule, cancel and step."""
+        schedule, cancel and step.  A live :class:`Ticker` counts as
+        one, like the pending event of the callback it stands in for."""
         return self._live_work
 
     def _drop_dead(self) -> None:

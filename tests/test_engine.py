@@ -338,3 +338,73 @@ def test_ticker_rejects_bad_arguments(sim):
     sim.run()
     with pytest.raises(SimulationError):
         sim.ticker(5, 10)
+
+
+# ----------------------------------------------------------------------
+# several tickers, some ticks fired: the order of rearming callbacks
+# ----------------------------------------------------------------------
+_FIRE_SCRIPT = st.lists(
+    st.tuples(st.integers(0, 60),              # event time (x 50 us)
+              st.integers(0, 2),               # ticker to fire (or none: 2)
+              st.sampled_from([0, 50, 100])),  # child event delay
+    min_size=1, max_size=25)
+_CLOCKS = st.lists(st.tuples(st.integers(0, 8).map(lambda x: x * 50),
+                             st.sampled_from([100, 150, 200, 300])),
+                   min_size=2, max_size=2)
+
+
+def _fire_replay(script, clocks, use_ticker):
+    """Events that each may ask for one clock's next tick to be real;
+    the log is the order in which events and real ticks ran."""
+    s = Simulator()
+    log = []
+    armed = [False, False]
+    tickers = [None, None]
+
+    def real_tick(j):
+        log.append(("tick", j, s.now))
+        armed[j] = False
+        if use_ticker:
+            tickers[j] = s.ticker(s.now + clocks[j][1], clocks[j][1])
+
+    def chained_tick(j):
+        if armed[j]:
+            real_tick(j)
+        s.schedule(clocks[j][1], chained_tick, j)
+
+    for j, (first, period) in enumerate(clocks):
+        if use_ticker:
+            tickers[j] = s.ticker(first, period)
+        else:
+            s.schedule_at(first, chained_tick, j)
+
+    def event(tag, fire, child):
+        log.append(("event", tag, s.now))
+        if fire < 2 and not armed[fire]:
+            armed[fire] = True
+            if use_ticker:
+                s.fire(tickers[fire], real_tick, fire)
+        if child:
+            s.schedule(child, event, tag + "'", 2, 0)
+
+    for i, (at, fire, child) in enumerate(script):
+        s.schedule_at(at * 50, event, str(i), fire, child)
+    s.run(until=61 * 50 + 1000)
+    return log
+
+
+@settings(max_examples=300, deadline=None)
+@given(script=_FIRE_SCRIPT, clocks=_CLOCKS)
+def test_fired_ticks_run_where_rearming_callbacks_would(script, clocks):
+    assert (_fire_replay(script, clocks, use_ticker=True)
+            == _fire_replay(script, clocks, use_ticker=False))
+
+
+def test_ticker_counts_as_live_work(sim):
+    t = sim.ticker(10, 10)
+    assert sim.pending_work == 1
+    h = sim.fire(t, lambda: None)
+    assert sim.pending_work == 1 and (h.time, h.seq) == (10, t.key)
+    t.cancel()  # already stopped by fire: no double count
+    sim.run()
+    assert sim.pending_work == 0

@@ -5,7 +5,9 @@ fresh vs resumed), so a change that shifts every path the same way
 passes them.  This module pins the outputs themselves: each case runs
 a small seeded workload through one public driver and hashes its
 records, ``SFSStats`` and ``OverheadMeter`` per-window buckets and
-counters of every SFS instance the run built.  Host-dependent fields
+counters of every SFS instance the run built; the traced case also pins
+every trace event, the metrics snapshot with each gauge's series, and
+the scheduler-decision audit records.  Host-dependent fields
 and ``events_executed`` are excluded, so removing no-op events is not
 a behaviour change.
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -73,6 +76,20 @@ def result_doc(res):
     }
 
 
+def rebase_tids(events, records):
+    """Trace events and audit records with task ids counted from the
+    run's first task: ids come from a process-wide counter, so the raw
+    values depend on what ran earlier in the process."""
+    base = min((e.tid for e in events if e.tid >= 0), default=0)
+
+    def rebase(tid):
+        return tid - base if tid >= 0 else tid
+
+    return ([e._replace(tid=rebase(e.tid)) for e in events],
+            [r._replace(chosen=rebase(r.chosen), displaced=rebase(r.displaced))
+             for r in records])
+
+
 def digest(doc) -> str:
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
@@ -105,6 +122,43 @@ def case_run_openlambda_sfs_discrete_io():
         res = run_openlambda(wl, cfg)
     assert res.sfs_stats.demoted_io > 0  # the I/O demotion path ran
     return {"run": result_doc(res), "sfs": sfs_doc(built)}
+
+
+@contextlib.contextmanager
+def audited(audit):
+    """Install ``audit`` on every Simulator the OpenLambda driver builds."""
+    import repro.faas.openlambda as ol
+
+    original = ol.Simulator
+    ol.Simulator = functools.partial(original, audit=audit)
+    try:
+        yield
+    finally:
+        ol.Simulator = original
+
+
+def case_run_openlambda_sfs_discrete_io_traced():
+    from repro.experiments.common import azure_sampled_workload, machine
+    from repro.faas.openlambda import OpenLambdaConfig, run_openlambda
+    from repro.obs import MetricsRegistry
+    from repro.trace import TraceRecorder
+    from repro.why.audit import AuditLog
+    from repro.workload.faasbench import OPENLAMBDA_MIX
+
+    wl = azure_sampled_workload(1200, 8, 1.0, 7, app_mix=OPENLAMBDA_MIX)
+    cfg = OpenLambdaConfig(machine=machine(8), engine="discrete",
+                           scheduler="sfs", seed=7)
+    recorder, registry, audit = TraceRecorder(), MetricsRegistry(), AuditLog()
+    with audited(audit), collect_sfs() as built:
+        res = run_openlambda(wl, cfg, trace=recorder, metrics=registry)
+    assert res.sfs_stats.demoted_io > 0 and len(audit) and len(recorder)
+    events, records = rebase_tids(recorder.events, audit.records)
+    gauges = {name + suffix: inst.series for (name, suffix), inst
+              in sorted(registry._instruments.items()) if inst.kind == "gauge"}
+    return {"run": result_doc(res), "sfs": sfs_doc(built),
+            "trace": digest(events),
+            "metrics": registry.snapshot(), "gauge_series": gauges,
+            "audit": digest(records)}
 
 
 def case_ext_resilience_domain_outage():
@@ -159,6 +213,8 @@ def case_fig11_reduced():
 CASES = {
     "run_workload.sfs.fluid": case_run_workload_sfs_fluid,
     "run_openlambda.sfs.discrete.io_mix": case_run_openlambda_sfs_discrete_io,
+    "run_openlambda.sfs.discrete.io_mix.traced":
+        case_run_openlambda_sfs_discrete_io_traced,
     "ext_resilience.domain_outage.sfs.h4": case_ext_resilience_domain_outage,
     "stream_replay.sfs.fluid": case_stream_replay_sfs,
     "table2.reduced": case_table2_reduced,
