@@ -170,7 +170,7 @@ def cell_summary(scenario: str, scheduler: str, r: RunResult,
         "shed_rate": float(s.shed_rate),
         "abandonment_rate": float(s.abandonment_rate),
         "slo_attainment": float(CHAOS_SLO.attainment(r.records)),
-        "events_executed": int(r.meta.get("events_executed", 0)),
+        "events_executed": r.manifest.events_executed,
     }
 
 

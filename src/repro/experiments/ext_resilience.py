@@ -211,7 +211,7 @@ def cell_summary(scenario: str, scheduler: str, n_hosts: int,
         "hedge_wins": int(stats.get("hedge_wins", 0)),
         "retry_throttled": int(stats.get("retry_throttled", 0)),
         "shed": int(stats.get("shed", 0)),
-        "events_executed": int(r.meta.get("events_executed", 0)),
+        "events_executed": r.manifest.events_executed,
     }
 
 

@@ -23,18 +23,17 @@ part of our future work."  This module builds that investigation:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.predictor import DurationPredictor
+from repro.experiments.pipeline import at_host_speed, run_records
 from repro.faas.openlambda import OpenLambdaConfig, OpenLambdaPlatform
 from repro.faas.resilience import ResilienceConfig, ResilienceRuntime
 from repro.faults.runtime import FaultRuntime
-from repro.invariants.checker import resolve_checker
-from repro.metrics.collector import RunResult, build_records
+from repro.metrics.collector import RunResult
 from repro.sim.engine import Simulator
 from repro.sim.task import Task
 from repro.sim.units import MS
-from repro.trace.gauges import attach_gauge_sampler
 from repro.workload.spec import RequestSpec, Workload
 
 PLACEMENT_POLICIES = ("round_robin", "least_loaded", "least_work", "offload_long")
@@ -102,23 +101,15 @@ class FaaSCluster:
         #: A resilience policy forces a governor even with a null fault
         #: config — hedging alone needs attempt accounting.
         self.faults: Optional[FaultRuntime] = (
-            FaultRuntime(
-                sim, plan=plan, retry=config.host.retry,
-                admission=config.host.admission, timeout=config.host.timeout,
-            )
+            config.host.governor(sim)
             if config.host.fault_handling or config.resilience is not None
             else None
         )
         self.hosts: List[OpenLambdaPlatform] = []
         for i in range(config.n_hosts):
-            host_cfg = replace(config.host, seed=config.host.seed + i)
-            speed = config.host_speeds[i] if config.host_speeds else 1.0
-            if plan is not None:
-                speed *= plan.straggler_speed(i)
-            if speed != 1.0:
-                host_cfg = replace(
-                    host_cfg, machine=replace(host_cfg.machine, speed=speed)
-                )
+            host_cfg = at_host_speed(
+                replace(config.host, seed=config.host.seed + i), i,
+                base=config.host_speeds[i] if config.host_speeds else 1.0)
             self.hosts.append(OpenLambdaPlatform(sim, host_cfg, faults=self.faults))
         #: ground-truth liveness, flipped exactly at the fault window edges
         self._alive: List[bool] = [True] * config.n_hosts
@@ -241,8 +232,6 @@ class FaaSCluster:
         return best if best is not None else 0
 
     def _on_host_finish(self, idx: int, task: Task) -> None:
-        if idx >= len(self.hosts):  # host vanished (defensive)
-            return
         if task.cpu_time > 0 and not task.killed:
             # killed attempts are truncated samples: feeding them to the
             # predictor would bias every placement decision downward
@@ -252,12 +241,43 @@ class FaaSCluster:
             self._work[idx] = 0.0  # drained: flush estimator residue
 
     # ------------------------------------------------------------------
+    # the run_records protocol
+    # ------------------------------------------------------------------
+    #: arrivals enter through the global dispatcher
+    invoke = dispatch
+    #: each host runs its own SFS; a cluster result carries none of them
+    sfs = None
+
     @property
     def pairs(self):
         out = []
         for host in self.hosts:
             out.extend(host.pairs)
         return out
+
+    @property
+    def machines(self):
+        return [host.machine for host in self.hosts]
+
+    def gauge_sources(self):
+        """Per-host platform gauges (labelled by host index), not one
+        host's machine-wide ones."""
+        extra = list(self.hosts)
+        if self.resilience is not None:
+            extra.append(self.resilience)
+        return extra
+
+    def run_meta(self, workload: Workload):
+        meta = {
+            "placement": self.config.placement,
+            "n_hosts": self.config.n_hosts,
+            "placements": self.placements,
+        }
+        if self.config.host_speeds:
+            meta["host_speeds"] = list(self.config.host_speeds)
+        if self.config.resilience is not None:
+            meta["resilience"] = self.config.resilience.to_json()
+        return meta
 
 
 def run_cluster(workload: Workload, config: ClusterConfig,
@@ -270,50 +290,9 @@ def run_cluster(workload: Workload, config: ClusterConfig,
     a recorder / registry on the shared simulator; per-host gauges
     (outstanding, keep-alive occupancy) are labelled by host index.
     """
-    checker = resolve_checker(
-        invariants, seed=workload.meta.get("seed"),
-        label=f"cluster[{config.placement}] scheduler={config.host.scheduler}",
-    )
-    sim = Simulator(trace=trace, invariants=checker, metrics=metrics)
-    cluster = FaaSCluster(sim, config)
-    extra = list(cluster.hosts)
-    if cluster.resilience is not None:
-        extra.append(cluster.resilience)
-    attach_gauge_sampler(sim, extra=extra)
-    for spec in workload:
-        sim.schedule_at(spec.arrival, cluster.dispatch, spec)
-    sim.run()
-    pairs = cluster.pairs
-    unfinished = [s.req_id for s, t in pairs if not t.finished]
-    if unfinished:
-        raise RuntimeError(f"{len(unfinished)} cluster requests never finished")
-    total_busy = sum(h.machine.busy_time for h in cluster.hosts)
-    total_cores = sum(h.machine.n_cores for h in cluster.hosts)
-    meta = {
-        "placement": config.placement,
-        "n_hosts": config.n_hosts,
-        "placements": cluster.placements,
-        "events_executed": sim.events_executed,
-    }
-    if config.host_speeds:
-        meta["host_speeds"] = list(config.host_speeds)
-    if config.resilience is not None:
-        meta["resilience"] = config.resilience.to_json()
-    if cluster.faults is not None:
-        meta["fault_stats"] = cluster.faults.stats.as_dict()
-    records = build_records(pairs, faults=cluster.faults)
-    if checker.enabled:
-        checker.check_accounting(
-            workload, records,
-            cluster.faults.stats.as_dict() if cluster.faults is not None else None,
-        )
-        meta["invariant_checks"] = checker.summary()
-    return RunResult(
+    return run_records(
+        workload, config, FaaSCluster,
         scheduler=f"cluster[{config.placement}]+{config.host.scheduler}",
         engine=config.host.engine,
-        records=records,
-        sim_time=sim.now,
-        busy_time=total_busy,
-        n_cores=total_cores,
-        meta=meta,
+        trace=trace, metrics=metrics, invariants=invariants,
     )

@@ -9,31 +9,29 @@ function process' PID and invocation timestamp (§VI).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
 from repro.core.config import SFSConfig
-from repro.core.sfs import SFS
+from repro.experiments.pipeline import (
+    ENGINES, FaultHandling, Host, at_host_speed, run_records,
+)
 from repro.faas.coldstart import ColdStartConfig, KeepAliveCache
 from repro.faas.overheads import OverheadModel
 from repro.faas.sandbox import ContainerPool
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import AdmissionControl, RetryPolicy
 from repro.faults.runtime import FaultRuntime
-from repro.invariants.checker import resolve_checker
-from repro.machine.base import MachineBase, MachineParams
-from repro.machine.discrete import DiscreteMachine
-from repro.machine.fluid import FluidMachine
-from repro.metrics.collector import RunResult, build_records
+from repro.machine.base import MachineParams
+from repro.metrics.collector import RunResult
 from repro.sim.engine import Simulator
-from repro.sim.rng import SeedLike, make_rng
-from repro.sim.task import SchedPolicy, Task
+from repro.sim.rng import make_rng
+from repro.sim.task import Task
 from repro.trace import events as tev
-from repro.trace.gauges import attach_gauge_sampler
 from repro.workload.spec import RequestSpec, Workload
 
 
 @dataclass(frozen=True)
-class OpenLambdaConfig:
+class OpenLambdaConfig(FaultHandling):
     """Platform deployment parameters (§IX uses 72 cores)."""
 
     machine: MachineParams = field(default_factory=lambda: MachineParams(n_cores=72))
@@ -60,49 +58,29 @@ class OpenLambdaConfig:
     def __post_init__(self) -> None:
         if self.scheduler not in ("cfs", "sfs"):
             raise ValueError("OpenLambda runs use 'cfs' or 'sfs'")
-        if self.engine not in ("fluid", "discrete"):
+        if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError("timeout must be positive (us)")
-
-    @property
-    def fault_handling(self) -> bool:
-        """Does this deployment need a fault governor at all?
-
-        False keeps the platform on the exact pre-fault code path — a
-        nominal run is bit-identical to one built without repro.faults.
-        """
-        return (
-            self.faults is not None
-            or self.retry is not None
-            or self.admission is not None
-            or self.timeout is not None
-        )
 
     def with_scheduler(self, scheduler: str) -> "OpenLambdaConfig":
         return replace(self, scheduler=scheduler)
 
 
-class OpenLambdaPlatform:
+class OpenLambdaPlatform(Host):
     """Simulated OpenLambda deployment on one big host.
 
-    ``faults`` is the run's :class:`~repro.faults.runtime.FaultRuntime`
-    governor; a cluster passes one shared governor to every host, a
-    standalone run lets the platform build its own.  When it is None
-    (no fault configuration) every boundary check below short-circuits
-    on a single attribute load, so nominal runs take the exact pre-fault
-    code path.
+    The front door (admission, deadlines, attempts, retries) is the
+    shared :class:`~repro.experiments.pipeline.Host`; the platform adds
+    the gateway, worker and sandbox-server hops between ingress and
+    spawn, the warm-container pool and the keep-alive cache.  At each
+    hop a governed run drops work whose request is already settled
+    (hedge sibling answered) or whose host went down.
     """
 
     def __init__(self, sim: Simulator, config: OpenLambdaConfig,
                  faults: Optional[FaultRuntime] = None):
-        self.sim = sim
-        self.config = config
-        engine_cls = FluidMachine if config.engine == "fluid" else DiscreteMachine
-        self.machine: MachineBase = engine_cls(sim, config.machine)
-        self.sfs: Optional[SFS] = (
-            SFS(self.machine, config.sfs) if config.scheduler == "sfs" else None
-        )
+        super().__init__(sim, config, faults)
         self.pool = ContainerPool(config.container_capacity)
         self.rng = make_rng(config.seed)
         self.coldstart: Optional[KeepAliveCache] = (
@@ -110,28 +88,10 @@ class OpenLambdaPlatform:
             if config.coldstart is not None
             else None
         )
-        if faults is None and config.fault_handling:
-            faults = FaultRuntime(
-                sim, plan=config.faults, retry=config.retry,
-                admission=config.admission, timeout=config.timeout,
-            )
-        self.faults = faults
         #: host failure injected: drop everything until recovery
         self.down = False
-        self.pairs: List[Tuple[RequestSpec, Task]] = []
-        self.machine.on_finish(self._on_finish)
-        self._app_of: Dict[int, str] = {}
-        self._fn_of: Dict[int, str] = {}
-        self._spec_of: Dict[int, RequestSpec] = {}
-        self._live: Dict[int, Task] = {}
-        #: requests accepted but not yet finished (global-scheduler load)
-        self.outstanding: int = 0
-        #: cluster slot for gauge labelling (-1 = standalone host)
-        self.host_index: int = -1
-        # trace recorder + metric registry: cached at construction like
-        # every instrumented layer (repro.trace / repro.obs contract)
-        self._trace = sim.trace
-        self._trace_on = self._trace.enabled
+        # metric registry: cached at construction like every
+        # instrumented layer (repro.obs contract)
         self._metrics = sim.metrics
         self._metrics_on = self._metrics.enabled
         if self._metrics_on:
@@ -144,34 +104,27 @@ class OpenLambdaPlatform:
                 "repro_coldstart_us",
                 help="container provisioning delay on a cache miss")
 
+    def gauge_sources(self):
+        return super().gauge_sources() + [self]
+
+    def run_meta(self, workload: Workload):
+        meta = super().run_meta(workload)
+        if self.coldstart is not None:
+            meta["coldstart_stats"] = self.coldstart.stats
+        return meta
+
     # ------------------------------------------------------------------
     # invocation pipeline
     # ------------------------------------------------------------------
-    def invoke(self, spec: RequestSpec) -> None:
-        """Client HTTP request arrives at the gateway (step 1)."""
-        if self.faults is not None and not self.faults.admit(spec, self.outstanding):
-            return  # load shed: 429 before any work happens
-        self.outstanding += 1
+    def _on_admit(self) -> None:
         if self._metrics_on:
             self._m_invocations.inc()
-        self._ingress(spec)
 
-    def _ingress(self, spec: RequestSpec) -> None:
-        """One attempt (fresh or retry) enters the gateway pipeline."""
-        if self.faults is not None:
-            if self.faults.expired(spec):  # deadline passed while backing off
-                self.outstanding -= 1
-                self.faults.mark_timeout(spec)
-                return
-            self.faults.begin(spec)
+    def _forward(self, spec: RequestSpec) -> None:
+        """Gateway and OL worker hops (steps 1-2)."""
         ov = self.config.overheads
         delay = ov.gateway.sample(self.rng) + ov.ol_worker.sample(self.rng)
         self.sim.schedule(delay, self._at_sandbox_server, spec)
-
-    def retry_entry(self, spec: RequestSpec) -> None:
-        """A retry lands on this host (possibly routed from another)."""
-        self.outstanding += 1
-        self._ingress(spec)
 
     def _at_sandbox_server(self, spec: RequestSpec) -> None:
         """OL worker forwarded the request; acquire a warm container."""
@@ -224,70 +177,26 @@ class OpenLambdaPlatform:
                 self.pool.release(spec.app or spec.name)
                 self._fail_before_spawn(spec, reason="host")
                 return
-        task = spec.make_task(policy=SchedPolicy.CFS)
-        self.pairs.append((spec, task))
-        if self._trace_on:
-            # same lifecycle mark the bare-machine runner emits, so
-            # repro.why can reconstruct platform runs too
-            self._trace.emit(self.sim.now, tev.TASK_SPAWN, task.tid,
-                             args=(spec.name, spec.req_id))
-        self._app_of[task.tid] = spec.app or spec.name
-        self._fn_of[task.tid] = spec.name or spec.app
-        if self.faults is not None:
-            self._spec_of[task.tid] = spec
-            self._live[task.tid] = task
-        self.machine.spawn(task)
-        if self.faults is not None:
-            self.faults.arm(spec, task, self.machine)
-            self.faults.note_spawn(spec, task, self.host_index)
-        if self.sfs is not None:
-            # UDP message (pid, invocation timestamp) to the SFS queue
-            notify = self.config.overheads.udp_notify.sample(self.rng)
-            self.sim.schedule(notify, self.sfs.submit, task, spec.arrival)
+        super()._spawn(spec)
 
-    def _on_finish(self, task: Task) -> None:
-        app = self._app_of.pop(task.tid, None)
-        if app is not None:
-            self.pool.release(app)
-        fn = self._fn_of.pop(task.tid, None)
-        if fn is not None and self.coldstart is not None and not task.killed:
+    def _notify(self, task: Task, arrival: int) -> None:
+        # UDP message (pid, invocation timestamp) to the SFS queue
+        notify = self.config.overheads.udp_notify.sample(self.rng)
+        self.sim.schedule(notify, self.sfs.submit, task, arrival)
+
+    def _release(self, spec: RequestSpec, task: Task) -> None:
+        self.pool.release(spec.app or spec.name)
+        if self.coldstart is not None and not task.killed:
             # a killed sandbox is destroyed, not returned to the cache
-            self.coldstart.release(fn)
-        if self.faults is None:
-            self.outstanding -= 1
-            return
-        self._live.pop(task.tid, None)
-        spec = self._spec_of.pop(task.tid)
-        delay = self.faults.on_task_end(spec, task)
-        self.outstanding -= 1  # this host's involvement in the attempt ends
-        if delay is not None:
-            self.sim.schedule(delay, self._route_retry, spec)
+            self.coldstart.release(spec.name or spec.app)
 
     # ------------------------------------------------------------------
-    # failure paths
+    # host failures (injected by the cluster)
     # ------------------------------------------------------------------
-    def _fail_before_spawn(self, spec: RequestSpec,
-                           reason: str = "crash") -> None:
-        """The attempt died before a process existed (provisioning
-        failure or the host went down mid-pipeline)."""
-        self.outstanding -= 1
-        delay = self.faults.fail_attempt(spec, reason=reason,
-                                         host=self.host_index)
-        if delay is not None:
-            self.sim.schedule(delay, self._route_retry, spec)
-
-    def _route_retry(self, spec: RequestSpec) -> None:
-        """Backoff elapsed: re-dispatch, through the cluster if any."""
-        router = self.faults.retry_router
-        if router is not None:
-            router(spec)
-        else:
-            self.retry_entry(spec)
-
     def fail_host(self) -> None:
         """Host failure: kill all in-flight work, reject the pipeline."""
         self.down = True
-        for task in list(self._live.values()):
+        for _spec, task in list(self._live.values()):
             self.machine.kill(task, "host")
 
     def recover_host(self) -> None:
@@ -317,49 +226,11 @@ def run_openlambda(workload: Workload, config: OpenLambdaConfig,
     :mod:`repro.invariants`): the checker audits the machine, runqueues
     and keep-alive cache during the run and the record/arrival closure
     afterwards.  ``trace`` / ``metrics`` install a recorder / registry
-    on the simulator (defaults stay the zero-overhead nulls).
+    on the simulator (defaults stay the zero-overhead nulls).  A
+    straggler entry for host 0 in ``config.faults`` slows the host.
     """
-    checker = resolve_checker(
-        None, seed=workload.meta.get("seed"),
-        label=f"openlambda scheduler={config.scheduler} engine={config.engine}",
-    )
-    sim = Simulator(trace=trace, invariants=checker, metrics=metrics)
-    platform = OpenLambdaPlatform(sim, config)
-    attach_gauge_sampler(sim, platform.machine, platform.sfs,
-                         extra=(platform,))
-    for spec in workload:
-        sim.schedule_at(spec.arrival, platform.invoke, spec)
-    sim.run()
-    unfinished = [s.req_id for s, t in platform.pairs if not t.finished]
-    if unfinished:
-        raise RuntimeError(
-            f"{len(unfinished)} OpenLambda requests never finished "
-            f"(first: {unfinished[:5]})"
-        )
-    sfs = platform.sfs
-    meta = dict(workload.meta)
-    meta["events_executed"] = sim.events_executed
-    if platform.coldstart is not None:
-        meta["coldstart_stats"] = platform.coldstart.stats
-    if platform.faults is not None:
-        meta["fault_stats"] = platform.faults.stats.as_dict()
-    records = build_records(platform.pairs, faults=platform.faults)
-    if checker.enabled:
-        checker.check_accounting(
-            workload, records,
-            platform.faults.stats.as_dict() if platform.faults is not None else None,
-        )
-        meta["invariant_checks"] = checker.summary()
-    return RunResult(
-        scheduler=f"openlambda+{config.scheduler}",
-        engine=config.engine,
-        records=records,
-        sim_time=sim.now,
-        busy_time=platform.machine.busy_time,
-        n_cores=platform.machine.n_cores,
-        sfs_stats=sfs.stats if sfs else None,
-        slice_timeline=list(sfs.monitor.timeline) if sfs else None,
-        queue_delay_samples=sfs.delay_samples() if sfs else None,
-        overhead=sfs.overhead if sfs else None,
-        meta=meta,
+    return run_records(
+        workload, at_host_speed(config), OpenLambdaPlatform,
+        scheduler=f"openlambda+{config.scheduler}", engine=config.engine,
+        trace=trace, metrics=metrics,
     )

@@ -117,12 +117,8 @@ def _run_workload_scenario(scheduler: str, engine: str, n_requests: int):
     ).generate()
     cfg = RunConfig(scheduler=scheduler, engine=engine,
                     machine=MachineParams(n_cores=8), invariants=False)
-    events = [0]
-
     def run() -> int:
-        res = run_workload(wl, cfg)
-        events[0] = res.manifest.events_executed if res.manifest else 0
-        return events[0]
+        return run_workload(wl, cfg).manifest.events_executed
 
     return run
 
@@ -157,8 +153,7 @@ def _openlambda(quick: bool):
     cfg = OpenLambdaConfig(scheduler="sfs")
 
     def run() -> int:
-        res = run_openlambda(wl, cfg)
-        return res.meta["events_executed"]
+        return run_openlambda(wl, cfg).manifest.events_executed
 
     return run
 
@@ -231,8 +226,7 @@ def _replay_materialized(quick: bool):
                     machine=MachineParams(n_cores=8), invariants=False)
 
     def run() -> int:
-        res = run_workload(wl, cfg)
-        return res.manifest.events_executed if res.manifest else 0
+        return run_workload(wl, cfg).manifest.events_executed
 
     return run
 
@@ -250,8 +244,7 @@ def _cluster(quick: bool):
     cfg = ClusterConfig(n_hosts=4)
 
     def run() -> int:
-        res = run_cluster(wl, cfg)
-        return res.meta["events_executed"]
+        return run_cluster(wl, cfg).manifest.events_executed
 
     return run
 

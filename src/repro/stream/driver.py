@@ -1,9 +1,9 @@
 """Streaming replay driver: crash-proof, constant-memory execution.
 
 :func:`repro.experiments.runner.run_workload` schedules every arrival
-up front through local closures and retains every (spec, task) pair —
-both fatal for long horizons: closures cannot be pickled into a
-checkpoint, and O(n) retention is exactly what streaming must remove.
+up front and retains every (spec, task) pair — both fatal for long
+horizons: O(n) heap size and O(n) retention are exactly what streaming
+must remove.
 This driver is the long-horizon counterpart:
 
 * **prefetch-one arrivals** — the event heap holds at most one future
@@ -33,15 +33,16 @@ bit-identical without them.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional
 
 from repro.core.config import SFSConfig
 from repro.core.overhead import OverheadMeter
 from repro.core.sfs import SFS
+from repro.experiments.pipeline import ENGINES, build_host, notify_sfs
 from repro.machine.base import MachineParams
 from repro.sim.engine import Simulator
-from repro.sim.task import SchedPolicy, Task
+from repro.sim.task import Task
 from repro.sim.units import SEC
 from repro.stream.aggregate import StreamSummary
 from repro.workload.spec import RequestSpec
@@ -50,13 +51,6 @@ from repro.workload.stream import RequestStream, StreamCursor
 #: schedulers the streaming driver supports (the clairvoyant oracles
 #: srtf/ideal are comparison baselines, not replay targets)
 REPLAY_SCHEDULERS = ("cfs", "fifo", "rr", "sfs")
-
-_POLICY_FOR = {
-    "cfs": SchedPolicy.CFS,
-    "fifo": SchedPolicy.FIFO,
-    "rr": SchedPolicy.RR,
-    "sfs": SchedPolicy.CFS,  # functions start in CFS; SFS promotes them
-}
 
 #: cap on retained diagnostic samples inside SFS components
 SAMPLE_CAP = 4096
@@ -89,7 +83,7 @@ class ReplayConfig:
             raise ValueError(
                 f"unknown replay scheduler {self.scheduler!r} "
                 f"(expected one of {REPLAY_SCHEDULERS})")
-        if self.engine not in ("fluid", "discrete"):
+        if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.notify_latency < 0:
             raise ValueError("notify_latency must be >= 0")
@@ -129,15 +123,12 @@ class StreamReplayDriver:
         self.checkpointer = checkpointer
         self.watchdog = watchdog
         self.sim = Simulator(label=f"replay {cfg.scheduler}/{cfg.engine}")
-        self.machine = self._make_machine()
-        self.sfs: Optional[SFS] = None
-        if cfg.scheduler == "sfs":
-            self.sfs = SFS(self.machine, cfg.sfs)
+        self.machine, self.sfs, self._policy = build_host(self.sim, cfg)
+        if self.sfs is not None:
             # long-horizon bounds: coarse overhead buckets, capped
             # diagnostic sample lists (see module docstring)
             self.sfs.overhead = OverheadMeter(window=cfg.overhead_window)
             _bound_sfs_buffers(self.sfs)
-        self._policy = _POLICY_FOR[cfg.scheduler]
         self._inflight: Dict[int, RequestSpec] = {}
         self._next_spec: Optional[RequestSpec] = None
         self.done = 0
@@ -150,14 +141,6 @@ class StreamReplayDriver:
         self._fetch_next()
         if cfg.checkpoint_every is not None:
             self.sim.schedule(cfg.checkpoint_every, self._on_checkpoint_tick)
-
-    # ------------------------------------------------------------------
-    def _make_machine(self):
-        from repro.machine.discrete import DiscreteMachine
-        from repro.machine.fluid import FluidMachine
-
-        cls = FluidMachine if self.cfg.engine == "fluid" else DiscreteMachine
-        return cls(self.sim, self.cfg.machine)
 
     # ------------------------------------------------------------------
     # event handlers: bound methods only — these live in the heap
@@ -187,11 +170,7 @@ class StreamReplayDriver:
         self.admitted += 1
         self.machine.spawn(task)
         if self.sfs is not None:
-            if self.cfg.notify_latency > 0:
-                self.sim.schedule(self.cfg.notify_latency, self.sfs.submit,
-                                  task, spec.arrival)
-            else:
-                self.sfs.submit(task, spec.arrival)
+            notify_sfs(self.sfs, self.cfg.notify_latency, task, spec.arrival)
 
     def _on_finish(self, task: Task) -> None:
         spec = self._inflight.pop(task.tid, None)
@@ -260,16 +239,10 @@ class StreamReplayDriver:
     # ------------------------------------------------------------------
     def config_dict(self) -> Dict[str, object]:
         """JSON-safe configuration key for checkpoint manifests: a
-        resume with different replay parameters must be refused."""
-        cfg = self.cfg
+        resume with any different replay parameter (scheduler, engine,
+        machine, SFS tunables, cadence, stream) must be refused."""
         return {
-            "scheduler": cfg.scheduler,
-            "engine": cfg.engine,
-            "n_cores": cfg.machine.n_cores,
-            "ctx_switch_cost": cfg.machine.ctx_switch_cost,
-            "notify_latency": cfg.notify_latency,
-            "horizon": cfg.horizon,
-            "checkpoint_every": cfg.checkpoint_every,
-            "stream": {k: v for k, v in sorted(self.stream_meta.items())},
+            "replay": asdict(self.cfg),
+            "stream": dict(self.stream_meta),
             "n_requests": self.cursor.config.n_requests,
         }

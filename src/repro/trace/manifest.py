@@ -53,7 +53,7 @@ class RunManifest:
     n_requests: int
     seed: Optional[int]               # workload generator seed, if known
     workload: Dict[str, Any]          # generator metadata (repro.workload)
-    config: Dict[str, Any]            # full RunConfig, jsonified
+    config: Dict[str, Any]            # full run configuration, jsonified
     sim_time_us: int
     events_executed: int
     wall_time_s: float
@@ -69,6 +69,8 @@ class RunManifest:
     def build(
         cls,
         *,
+        scheduler: str,
+        engine: str,
         run_config: Any,
         workload: Any,
         sim: Any,
@@ -76,7 +78,8 @@ class RunManifest:
         wall_time_s: float,
         trace: Any = None,
     ) -> "RunManifest":
-        """Assemble a manifest from the live objects of one run."""
+        """Assemble a manifest from the live objects of one run;
+        ``scheduler``/``engine`` are the labels of its RunResult."""
         from repro import __version__  # deferred: repro imports this module
 
         meta = dict(getattr(workload, "meta", {}) or {})
@@ -85,8 +88,8 @@ class RunManifest:
             schema=SCHEMA,
             version=__version__,
             created_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            scheduler=run_config.scheduler,
-            engine=run_config.engine,
+            scheduler=scheduler,
+            engine=engine,
             n_cores=n_cores,
             n_requests=len(workload),
             seed=seed if isinstance(seed, int) else None,

@@ -126,15 +126,19 @@ def case_run_openlambda_sfs_discrete_io():
 
 @contextlib.contextmanager
 def audited(audit):
-    """Install ``audit`` on every Simulator the OpenLambda driver builds."""
-    import repro.faas.openlambda as ol
+    """Install ``audit`` on every Simulator the run pipeline builds."""
+    import repro.experiments.pipeline as pipeline
 
-    original = ol.Simulator
-    ol.Simulator = functools.partial(original, audit=audit)
+    original = pipeline.Simulator
+
+    def with_audit(**kwargs):
+        return original(**{**kwargs, "audit": audit})
+
+    pipeline.Simulator = with_audit
     try:
         yield
     finally:
-        ol.Simulator = original
+        pipeline.Simulator = original
 
 
 def case_run_openlambda_sfs_discrete_io_traced():
@@ -189,6 +193,54 @@ def case_stream_replay_sfs():
             "sfs": sfs_doc(built)}
 
 
+def fault_config(stragglers=()):
+    """Crash and cold-start faults, retries, shedding and a deadline:
+    every branch of a driver's request front door."""
+    from repro.faults import AdmissionControl, FaultPlan, RetryPolicy
+    from repro.sim.units import SEC
+
+    return dict(
+        faults=FaultPlan(seed=11, crash_prob=0.1, coldstart_fail_prob=0.05,
+                         stragglers=stragglers),
+        retry=RetryPolicy(max_attempts=3, seed=13),
+        admission=AdmissionControl(max_outstanding=16),
+        timeout=3 * SEC,
+    )
+
+
+def faulted_doc(res, built):
+    stats = res.meta["fault_stats"]
+    for key in ("retries", "shed", "timeouts", "coldstart_failures"):
+        assert stats[key] > 0, (key, stats)
+    return {"run": result_doc(res), "sfs": sfs_doc(built)}
+
+
+def case_run_workload_sfs_faulted(engine):
+    from repro.experiments.common import azure_sampled_workload, machine
+    from repro.experiments.runner import RunConfig, run_workload
+
+    wl = azure_sampled_workload(600, 8, 1.0, 3)
+    cfg = RunConfig(scheduler="sfs", engine=engine, machine=machine(8),
+                    invariants=False,
+                    **fault_config(stragglers=((0, 0.8),)))
+    with collect_sfs() as built:
+        res = run_workload(wl, cfg)
+    return faulted_doc(res, built)
+
+
+def case_run_openlambda_sfs_fluid_faulted():
+    from repro.experiments.common import azure_sampled_workload, machine
+    from repro.faas.openlambda import OpenLambdaConfig, run_openlambda
+    from repro.workload.faasbench import OPENLAMBDA_MIX
+
+    wl = azure_sampled_workload(600, 8, 1.0, 5, app_mix=OPENLAMBDA_MIX)
+    cfg = OpenLambdaConfig(machine=machine(8), engine="fluid",
+                           scheduler="sfs", seed=5, **fault_config())
+    with collect_sfs() as built:
+        res = run_openlambda(wl, cfg)
+    return faulted_doc(res, built)
+
+
 def case_table2_reduced():
     from repro.experiments import table2_overhead
 
@@ -212,6 +264,11 @@ def case_fig11_reduced():
 
 CASES = {
     "run_workload.sfs.fluid": case_run_workload_sfs_fluid,
+    "run_workload.sfs.fluid.faulted":
+        functools.partial(case_run_workload_sfs_faulted, "fluid"),
+    "run_workload.sfs.discrete.faulted":
+        functools.partial(case_run_workload_sfs_faulted, "discrete"),
+    "run_openlambda.sfs.fluid.faulted": case_run_openlambda_sfs_fluid_faulted,
     "run_openlambda.sfs.discrete.io_mix": case_run_openlambda_sfs_discrete_io,
     "run_openlambda.sfs.discrete.io_mix.traced":
         case_run_openlambda_sfs_discrete_io_traced,

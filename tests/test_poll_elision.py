@@ -68,22 +68,45 @@ class TickedDiscreteMachine(DiscreteMachine):
         return False
 
 
+#: the class each driver builds -> its always-firing reference
+REFERENCE = {"SFS": "PolledSFS", "DiscreteMachine": "TickedDiscreteMachine"}
+
+
 @contextlib.contextmanager
 def use_reference():
-    """Build the reference SFS and discrete engine in every driver."""
-    import repro.experiments.runner as runner
-    import repro.faas.openlambda as openlambda
+    """Build the reference SFS and discrete engine in every driver: the
+    run pipeline is the one place hosts are built."""
+    import repro.experiments.pipeline as pipeline
 
-    saved = (runner.SFS, openlambda.SFS, runner.ENGINES["discrete"],
-             openlambda.DiscreteMachine)
-    runner.SFS = openlambda.SFS = PolledSFS
-    runner.ENGINES["discrete"] = TickedDiscreteMachine
-    openlambda.DiscreteMachine = TickedDiscreteMachine
+    saved = pipeline.SFS, pipeline.ENGINES["discrete"]
+    pipeline.SFS = PolledSFS
+    pipeline.ENGINES["discrete"] = TickedDiscreteMachine
     try:
         yield
     finally:
-        (runner.SFS, openlambda.SFS, runner.ENGINES["discrete"],
-         openlambda.DiscreteMachine) = saved
+        pipeline.SFS, pipeline.ENGINES["discrete"] = saved
+
+
+@contextlib.contextmanager
+def collect_built():
+    """Yield a list of the class names of every SFS and discrete engine
+    built inside, in construction order."""
+    built = []
+    inits = {cls: cls.__dict__["__init__"] for cls in (SFS, DiscreteMachine)}
+
+    def collecting(init):
+        def collecting_init(obj, *args, **kwargs):
+            init(obj, *args, **kwargs)
+            built.append(type(obj).__name__)
+        return collecting_init
+
+    for cls, init in inits.items():
+        cls.__init__ = collecting(init)
+    try:
+        yield built
+    finally:
+        for cls, init in inits.items():
+            cls.__init__ = init
 
 
 @contextlib.contextmanager
@@ -113,11 +136,13 @@ def outcome(run):
     of every SFS built, and each simulator's trace and audit streams."""
     from test_golden_digests import collect_sfs
 
-    with instrumented() as sims, collect_sfs() as built:
+    with instrumented() as sims, collect_sfs() as built, \
+            collect_built() as classes:
         res = run()
     return {"run": result_doc(res), "sfs": sfs_doc(built),
             "streams": [rebase_tids(s.trace.events, s.audit.records)
-                        for s in sims]}
+                        for s in sims],
+            "classes": classes}
 
 
 def assert_same(run):
@@ -125,6 +150,11 @@ def assert_same(run):
     with use_reference():
         reference = outcome(run)
     assert elided["streams"], "the case built no simulator"
+    # the reference is provably installed: each SFS and discrete engine
+    # the elided run built has its always-firing counterpart here
+    built = elided.pop("classes")
+    assert built, "the case built neither SFS nor a discrete engine"
+    assert reference.pop("classes") == [REFERENCE[c] for c in built]
     assert elided == reference
     return elided
 

@@ -13,8 +13,9 @@ import pickle
 
 import pytest
 
+from repro.core.config import SFSConfig
 from repro.machine.base import MachineParams
-from repro.sim.units import SEC
+from repro.sim.units import MS, SEC
 from repro.stream import (
     CheckpointError,
     CheckpointStore,
@@ -164,6 +165,11 @@ def test_load_rejects_config_mismatch(tmp_path):
                     machine=MachineParams(n_cores=8))
     with pytest.raises(CheckpointError, match="different replay"):
         store.load(expect_config=other.config_dict())
+    # one SFS tunable apart is a different replay too
+    slower_polls = _driver(checkpoint_every=10 * SEC,
+                           sfs=SFSConfig(poll_interval=8 * MS))
+    with pytest.raises(CheckpointError, match="different replay"):
+        store.load(expect_config=slower_polls.config_dict())
     # the matching config still loads (state as of the last checkpoint)
     restored = store.load(expect_config=d.config_dict())
     assert restored.done == store.manifest()["requests_done"]
